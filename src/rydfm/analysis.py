@@ -321,17 +321,12 @@ def sensitivity_estimate(
     responsivity_pd = detector.responsivity_a_per_w(sys.lambda_probe)
     signal_power = detector.power_w * detector.signal_fraction
 
-    # freeze the velocity mesh at the largest stencil field so the finite
-    # difference sees a smooth signal
-    mesh_drive = pipelines.drive_at_field(sys, drive, 1.5 * e_operating)
-
     def signal_current(e_rf: float) -> tuple[float, float]:
         rel, dc_rel = pipelines.fm_response(
             sys,
             pipelines.drive_at_field(sys, drive, e_rf),
             fm_cfg,
             carrier_detuning=drive.delta_p,
-            mesh_drive=mesh_drive,
         )
         return responsivity_pd * signal_power * rel, dc_rel
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -22,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, analysis, fm, noise, pipelines, servo, spectroscopy
 from .errors import CONFIG_ERRORS, NUMERIC_ERRORS
@@ -254,7 +256,12 @@ def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> RunManifest:
     manifest = RunManifest(
         config_hash=scn.config_hash(),
         seed=seed,
-        versions={"rydfm": __version__, "numpy": np.__version__},
+        versions={
+            "rydfm": __version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
         started=started,
         finished=finished,
         outputs=[str(p) for p in outputs],

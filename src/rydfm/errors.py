@@ -26,7 +26,7 @@ class SingularSystemError(RydfmError):
 
 
 class NonConvergenceError(RydfmError):
-    """An iterative or quadrature result did not converge to tolerance."""
+    """An iterative result or a numerical self-check missed its tolerance."""
 
 
 class TruncationError(RydfmError):

@@ -21,23 +21,11 @@ def sideband_spectrum(
     drive: FieldDrive,
     cfg: FmConfig,
     carrier_detuning: float,
-    *,
-    mesh_drive: FieldDrive | None = None,
 ) -> MediumSpectrum:
-    """Medium response sampled exactly at the carrier and sideband detunings.
-
-    `mesh_drive`, when given, fixes the velocity quadrature layout (used to
-    keep finite differences over the drive smooth).
-    """
+    """Medium response sampled exactly at the carrier and sideband detunings."""
     offsets = np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
     grid = carrier_detuning + offsets
-    base = mesh_drive if mesh_drive is not None else drive
-    chi = np.array(
-        [
-            susceptibility(sys, replace(drive, delta_p=float(d)), mesh_like=replace(base, delta_p=float(d)))
-            for d in grid
-        ]
-    )
+    chi = np.array([susceptibility(sys, replace(drive, delta_p=float(d))) for d in grid])
     half_optical = 0.5 * sys.k_probe * sys.cell_length
     return MediumSpectrum(
         grid=grid,
@@ -55,10 +43,9 @@ def fm_response(
     *,
     lo_phase: float | None = None,
     ram: RamParams | None = None,
-    mesh_drive: FieldDrive | None = None,
 ) -> tuple[float, float]:
     """Demodulated FM signal and relative DC power at one carrier detuning."""
-    spec = sideband_spectrum(sys, drive, cfg, carrier_detuning, mesh_drive=mesh_drive)
+    spec = sideband_spectrum(sys, drive, cfg, carrier_detuning)
     sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
     if ram is not None:
         sb = apply_ram(sb, ram)
@@ -74,7 +61,6 @@ def fm_probe_scan(
     carrier_grid: np.ndarray,
     *,
     ram: RamParams | None = None,
-    refine: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """In-phase and quadrature FM spectra over a carrier-detuning grid.
 
@@ -90,7 +76,7 @@ def fm_probe_scan(
         carrier_grid,
         carrier_grid[-1] + step * np.arange(1, pad + 1),
     ])
-    spec = scan_probe(sys, drive, extended, refine=refine)
+    spec = scan_probe(sys, drive, extended)
     sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
     if ram is not None:
         sb = apply_ram(sb, ram)
@@ -111,22 +97,11 @@ def rf_detuning_scan(
     *,
     lo_phase: float | None = None,
 ) -> np.ndarray:
-    """Demodulated FM signal versus RF detuning at a fixed probe carrier.
-
-    The velocity mesh is laid out once from the undetuned drive so the
-    scanned line is not polluted by quadrature-layout changes.
-    """
+    """Demodulated FM signal versus RF detuning at a fixed probe carrier."""
     out = np.empty(np.asarray(rf_grid).size)
     for i, d_rf in enumerate(np.asarray(rf_grid, dtype=float)):
-        signal, _ = fm_response(
-            sys,
-            replace(drive, delta_rf=float(d_rf)),
-            cfg,
-            drive.delta_p,
-            lo_phase=lo_phase,
-            mesh_drive=drive,
-        )
-        out[i] = signal
+        detuned = replace(drive, delta_rf=float(d_rf))
+        out[i], _ = fm_response(sys, detuned, cfg, drive.delta_p, lo_phase=lo_phase)
     return out
 
 
@@ -135,12 +110,10 @@ def at_calibration(
     drive: FieldDrive,
     fields: np.ndarray,
     grid: np.ndarray,
-    *,
-    refine: int = 1,
 ) -> list[tuple[float, AtResult]]:
     """AT splitting extracted from a probe scan at each RF field amplitude."""
     results = []
     for e_rf in np.asarray(fields, dtype=float):
-        spec = scan_probe(sys, drive_at_field(sys, drive, float(e_rf)), grid, refine=refine)
+        spec = scan_probe(sys, drive_at_field(sys, drive, float(e_rf)), grid)
         results.append((float(e_rf), at_splitting(spec)))
     return results

@@ -21,9 +21,10 @@ gamma_deph = 1/T2 damps every coherence involving |3> or |4>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.special import wofz
 
 from .constants import A0, CS_MASS, E_CHARGE, EPS0, HBAR, KB
 from .errors import (
@@ -57,6 +58,14 @@ def cs_vapor_density(temperature: float) -> float:
     return pressure_pa / (KB * temperature)
 
 
+def _require_finite(obj) -> None:
+    """Reject NaN or infinite dataclass fields (None means "not set")."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None and not math.isfinite(value):
+            raise InvariantViolation(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass
 class LadderSystem:
     """Atomic constants of the four-level ladder."""
@@ -77,6 +86,7 @@ class LadderSystem:
     cell_length: float = 0.03
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_atoms is None:
             self.n_atoms = cs_vapor_density(self.temperature)
             if self.n_atoms == 0.0:
@@ -119,6 +129,7 @@ class FieldDrive:
     delta_rf: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in ("omega_p", "omega_c", "omega_rf"):
             if getattr(self, name) < 0:
                 raise InvariantViolation(f"{name} must be >= 0")
@@ -225,6 +236,38 @@ def build_liouvillian(h: np.ndarray, sys: LadderSystem) -> np.ndarray:
     return commutator + _dissipator(sys)
 
 
+def _trace_solve(lam: np.ndarray, extra_rhs: np.ndarray | None = None) -> np.ndarray:
+    """Trace-1 steady state of one Liouvillian or a stack of them.
+
+    Each generator is normalized by its largest entry and its redundant
+    row 0 is replaced by the trace constraint; the solve returns the
+    steady state as column 0 (residual checked to 1e-10) followed by the
+    solutions for the columns of `extra_rhs` (16 x m), if given.
+    """
+    scale = np.max(np.abs(lam), axis=(-2, -1), keepdims=True)
+    if np.any(scale == 0.0):
+        raise SingularSystemError("Liouvillian is identically zero")
+    lam_n = lam / scale
+    a = lam_n.copy()
+    a[..., 0, :] = 0.0
+    a[..., 0, _TRACE_IDX] = 1.0
+    rhs = np.zeros((16, 1), dtype=complex)
+    rhs[0] = 1.0
+    if extra_rhs is not None:
+        rhs = np.hstack([rhs, extra_rhs])
+    try:
+        sol = np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
+    residual = float(np.max(np.linalg.norm(lam_n @ sol[..., :1], axis=-2)))
+    if not (residual <= 1e-10):
+        raise SingularSystemError(
+            f"steady-state residual {residual:.3e} exceeds 1e-10; "
+            "parameters are degenerate or near-degenerate"
+        )
+    return sol
+
+
 def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
     """Solve L rho = 0 with the trace constraint replacing one redundant row.
 
@@ -234,220 +277,101 @@ def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
         If the system is degenerate (e.g. all rates zero) or the residual
         of the normalized system exceeds 1e-10.
     """
-    lam = np.asarray(liouvillian, dtype=complex)
-    scale = np.max(np.abs(lam))
-    if scale == 0.0:
-        raise SingularSystemError("Liouvillian is identically zero")
-    lam_n = lam / scale
-    a = lam_n.copy()
-    a[0, :] = 0.0
-    a[0, _TRACE_IDX] = 1.0
-    b = np.zeros(16, dtype=complex)
-    b[0] = 1.0
-    try:
-        vec = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
-    residual = np.linalg.norm(lam_n @ vec)
-    if residual > 1e-10:
-        raise SingularSystemError(
-            f"steady-state residual {residual:.3e} exceeds 1e-10; "
-            "parameters are degenerate or near-degenerate"
-        )
+    vec = _trace_solve(np.asarray(liouvillian, dtype=complex))[:, 0]
     return DensityMatrix(vec.reshape(4, 4))
 
 
-def _steady_rho21_many(sys: LadderSystem, drive: FieldDrive, velocities: np.ndarray) -> np.ndarray:
-    """rho21 of the steady state for a stack of velocity classes.
+def _velocity_diagonal(sys: LadderSystem) -> np.ndarray:
+    """d L / d v: the vec-space diagonal through which the velocity enters.
 
-    Only the Hamiltonian diagonal depends on v, so the velocity enters the
-    Liouvillian as a purely diagonal vec-space term; everything else is
-    assembled once and broadcast.
+    H_ii(v) = H_ii(0) + slope_i * v, so the commutator gains
+    -i (slope_i - slope_j) v on coherence (i, j); populations and the
+    (3, 4) coherence stay velocity-independent.
     """
+    slope = np.array([0.0, sys.k_probe, sys.k_probe - sys.k_coupling, sys.k_probe - sys.k_coupling])
+    return (-1j * (slope[:, None] - slope[None, :])).ravel()
+
+
+def _steady_rho21_many(sys: LadderSystem, drive: FieldDrive, velocities: np.ndarray) -> np.ndarray:
+    """rho21 of the steady state for a stack of velocity classes."""
     v = np.asarray(velocities, dtype=float)
     base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
-
-    # H_ii(v) = H_ii(0) + slope_i * v; the v = 0 part is already in `base`
-    slope = np.array([0.0, sys.k_probe, sys.k_probe - sys.k_coupling, sys.k_probe - sys.k_coupling])
-    h_diag_v = slope[None, :] * v[:, None]
-    delta = -1j * (h_diag_v[:, :, None] - h_diag_v[:, None, :])  # (V,4,4)
-
     lam = np.broadcast_to(base, (v.size, 16, 16)).copy()
     idx = np.arange(16)
-    lam[:, idx, idx] += delta.reshape(v.size, 16)
-
-    scale = max(np.max(np.abs(lam)), np.max(np.abs(base)))
-    if scale == 0.0:
-        raise SingularSystemError("Liouvillian is identically zero")
-    lam /= scale
-
-    a = lam.copy()
-    a[:, 0, :] = 0.0
-    a[:, 0, _TRACE_IDX] = 1.0
-    b = np.zeros(16, dtype=complex)
-    b[0] = 1.0
-    try:
-        vec = np.linalg.solve(a, np.broadcast_to(b, (v.size, 16))[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
-    residual = np.linalg.norm(np.einsum("nij,nj->ni", lam, vec), axis=1)
-    worst = float(residual.max())
-    if worst > 1e-10:
-        raise SingularSystemError(
-            f"steady-state residual {worst:.3e} exceeds 1e-10 on the velocity stack"
-        )
-    return vec[:, _RHO21_IDX]
+    lam[:, idx, idx] += v[:, None] * _velocity_diagonal(sys)[None, :]
+    return _trace_solve(lam)[:, _RHO21_IDX, 0]
 
 
 # --- Doppler averaging -------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+SELF_CHECK_TOL = 1e-8
 
 
-def _panel_quadrature(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 8-point Gauss-Legendre nodes/weights on consecutive panels."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
+    """<v / (1 + lam v)> over a zero-mean Gaussian of standard deviation sigma.
 
-
-def velocity_quadrature(
-    sys: LadderSystem, drive: FieldDrive, refine: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maxwell-weighted velocity nodes resolving the spectral features.
-
-    The mesh is a composite Gauss-Legendre rule on three regions: an inner
-    window containing every one- and two-photon resonance velocity, panelled
-    finely enough to resolve the narrowest (power-broadened) linewidth, and
-    two outer regions covering the rest of +-6.5 thermal sigmas where the
-    integrand varies only on the Doppler scale.  `refine` multiplies the
-    panel counts; doubling it is the convergence check used by
-    :func:`doppler_average`.
-
-    Returns (velocities, weights) with the Maxwell PDF folded into the
-    weights, so sum(w * f(v)) approximates the thermal average of f.
+    With the pole z = -1/lam and zeta = z / (sqrt(2) sigma) the average is
+    -z (1 + zeta Z(zeta)), Z being the plasma-dispersion function of the
+    real-line integral: Z = i s sqrt(pi) w(s zeta) with s = sign(Im zeta)
+    and w the Faddeeva function.
     """
-    vth = sys.v_thermal
-    kp = sys.k_probe
-    dk = abs(sys.k_probe - sys.k_coupling)
-    v_max = 6.5 * vth
-
-    broad = math.sqrt(
-        sys.gamma2 ** 2
-        + 2 * (drive.omega_p ** 2 + drive.omega_c ** 2 + drive.omega_rf ** 2)
-    )
-    c2 = abs(drive.delta_p)
-    c3 = abs(drive.delta_p + drive.delta_c)
-    c4 = abs(drive.delta_p + drive.delta_c + drive.delta_rf)
-    span = (c2 + 8 * broad) / kp
-    if dk > 0:
-        span = max(span, (max(c3, c4) + 8 * broad) / dk)
-    w_inner = min(v_max, max(span, 0.3 * vth))
-
-    # Narrowest velocity-space features: the one-photon line (width
-    # ~Gamma2 plus probe power broadening) maps through k_p, the two-photon
-    # line (dephasing plus coupling/probe power broadening; the RF splits
-    # rather than broadens it) through |k_p - k_c|.
-    res = w_inner / 8
-    g1ph = sys.gamma2 + 2 * drive.omega_p
-    if g1ph > 0:
-        res = min(res, g1ph / (4 * kp))
-    if dk > 0:
-        g2ph = (
-            sys.gamma_deph
-            + 0.5 * (sys.gamma3 + sys.gamma4)
-            + (drive.omega_c ** 2 + drive.omega_p ** 2) / (2 * max(sys.gamma2, 1e-30))
-        )
-        if 0 < g2ph < math.inf:
-            res = min(res, g2ph / (4 * dk))
-    res = max(res, w_inner / 4000)  # cost cap; the doubling check guards accuracy
-
-    n_inner = max(4, int(math.ceil(2 * w_inner / (8 * res)))) * refine
-    inner_edges = np.linspace(-w_inner, w_inner, n_inner + 1)
-    nodes, weights = _panel_quadrature(inner_edges)
-
-    if w_inner < v_max:
-        n_outer = max(2, int(math.ceil((v_max - w_inner) / (0.4 * vth)))) * refine
-        for lo, hi in ((-v_max, -w_inner), (w_inner, v_max)):
-            edges = np.linspace(lo, hi, n_outer + 1)
-            n_o, w_o = _panel_quadrature(edges)
-            nodes = np.concatenate([nodes, n_o])
-            weights = np.concatenate([weights, w_o])
-
-    pdf = np.exp(-0.5 * (nodes / vth) ** 2) / (math.sqrt(2 * math.pi) * vth)
-    return nodes, weights * pdf
+    z = -1.0 / lam
+    zeta = z / (math.sqrt(2.0) * sigma)
+    s = np.where(zeta.imag >= 0, 1.0, -1.0)
+    plasma = 1j * s * math.sqrt(math.pi) * wofz(s * zeta)
+    return -z * (1.0 + zeta * plasma)
 
 
-def doppler_average(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    f,
-    *,
-    refine: int = 1,
-    max_refine: int = 16,
-    rel_tol: float = 1e-3,
-    vectorized: bool = False,
-    mesh_drive: FieldDrive | None = None,
-) -> complex:
-    """Maxwell-Boltzmann average of a per-velocity evaluator.
+def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
+    """Exact Maxwell-Boltzmann average of the steady-state probe coherence.
 
-    The quadrature is evaluated at successively doubled mesh densities
-    starting from `refine` until two consecutive levels agree to `rel_tol`
-    relative; the finest result is returned.  If agreement is not reached
-    by `max_refine` a :class:`NonConvergenceError` is raised.
+    The velocity enters the trace-constrained system only through a
+    diagonal, A(v) = A0 + v D, nonzero on the 10 v-dependent coherences.
+    Woodbury on that block and one eigendecomposition of
+    K = D_P A0^-1[P, P] turn rho21 into the rational function
+    rho21(v) = c0 - sum_k alpha_k v / (1 + lambda_k v), whose pole terms
+    average in closed form to the plasma-dispersion (Faddeeva) function.
 
-    Parameters
-    ----------
-    f : callable
-        Maps a velocity (m/s) to a complex value.  With ``vectorized=True``
-        it receives the full node array and must return an array.
-    mesh_drive : FieldDrive, optional
-        Drive whose resonances size the velocity mesh; defaults to `drive`.
-        Fixing it keeps finite differences over the drive smooth.
+    Below `V_THERMAL_FLOOR` the distribution is a delta function and the
+    result is the single v = 0 solve.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the rational form disagrees with direct solves at v = 0,
+        +-sigma and +-3 sigma by more than `SELF_CHECK_TOL` relative
+        (the eigenbasis is too ill-conditioned to trust).
     """
     if sys.temperature < 0:
         raise InvariantViolation("temperature must be >= 0")
-    if sys.v_thermal < V_THERMAL_FLOOR:
-        value = f(np.array([0.0]))[0] if vectorized else f(0.0)
-        return complex(value)
-    layout = mesh_drive if mesh_drive is not None else drive
+    sigma = sys.v_thermal
+    if sigma < V_THERMAL_FLOOR:
+        return complex(_steady_rho21_many(sys, drive, np.zeros(1))[0])
 
-    def evaluate(level: int) -> tuple[complex, float]:
-        nodes, weights = velocity_quadrature(sys, layout, refine=level)
-        if vectorized:
-            values = np.asarray(f(nodes))
-        else:
-            values = np.array([f(v) for v in nodes])
-        return complex(np.sum(weights * values)), float(np.max(np.abs(values)))
+    base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
+    d_v = _velocity_diagonal(sys)
+    moving = np.flatnonzero(d_v)                       # the v-dependent coherences
+    sol = _trace_solve(base, np.eye(16)[:, moving])
+    x0, inv_cols = sol[:, 0], sol[:, 1:]
+    d_p = d_v[moving] / np.max(np.abs(base))          # same normalization as A0
+    lam, vecs = np.linalg.eig(d_p[:, None] * inv_cols[moving, :])
+    alpha = (inv_cols[_RHO21_IDX, :] @ vecs) * np.linalg.solve(vecs, d_p * x0[moving])
+    c0 = x0[_RHO21_IDX]
 
-    level = refine
-    coarse, _ = evaluate(level)
-    change = math.inf
-    while 2 * level <= 2 * max_refine:
-        fine, f_scale = evaluate(2 * level)
-        denom = max(abs(fine), 1e-9 * f_scale, 1e-300)
-        change = abs(fine - coarse) / denom
-        if change <= rel_tol:
-            return fine
-        level *= 2
-        coarse = fine
-    raise NonConvergenceError(
-        f"Doppler quadrature changed by {change:.3e} relative on the last "
-        f"node doubling (tolerance {rel_tol:g}, refine cap {max_refine})"
-    )
+    probe_v = sigma * np.array([0.0, -1.0, 1.0, -3.0, 3.0])
+    rational = c0 - (alpha * probe_v[:, None] / (1.0 + lam * probe_v[:, None])).sum(axis=1)
+    direct = _steady_rho21_many(sys, drive, probe_v)
+    mismatch = np.max(np.abs(rational - direct))
+    if not (mismatch <= SELF_CHECK_TOL * np.max(np.abs(direct))):
+        raise NonConvergenceError(
+            f"velocity-pole expansion misses direct solves by {mismatch:.3e} "
+            f"(tolerance {SELF_CHECK_TOL:g} relative); cond(eigenvectors) = "
+            f"{np.linalg.cond(vecs):.3e}"
+        )
+    return complex(c0 - np.sum(alpha * _mean_pole_term(lam, sigma)))
 
 
-def susceptibility(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    *,
-    refine: int = 1,
-    mesh_like: FieldDrive | None = None,
-) -> complex:
+def susceptibility(sys: LadderSystem, drive: FieldDrive) -> complex:
     """Complex probe susceptibility at one operating point.
 
     chi = 2 n mu12^2 <rho21> / (eps0 hbar Omega_p) with <rho21> the
@@ -455,16 +379,9 @@ def susceptibility(
     """
     if drive.omega_p <= 0:
         raise InvariantViolation("susceptibility requires omega_p > 0")
-    rho21 = doppler_average(
-        sys,
-        drive,
-        lambda v: _steady_rho21_many(sys, drive, v),
-        vectorized=True,
-        refine=refine,
-        mesh_drive=mesh_like,
-    )
+    rho21 = doppler_average(sys, drive)
     chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
-    if chi.imag < -1e-12 * max(1.0, abs(chi)):
+    if not (chi.imag >= -1e-12 * max(1.0, abs(chi))):
         raise InvariantViolation(
             f"negative probe absorption Im chi = {chi.imag:.3e}; passive medium violated"
         )

@@ -59,7 +59,6 @@ class ServoOpts:
     drift_freq_hz: float = 0.05
     drift_step_std: float = 2e-3   # random-walk step sigma, rad
     duration_s: float = 16.384
-    lock: bool = True
 
     def __post_init__(self) -> None:
         if self.drift_model not in ("constant", "ramp", "sinusoid", "random_walk"):
@@ -149,6 +148,7 @@ class Scenario:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     def canonical_text(self) -> str:
+        """Every input that affects the numbers; [output] is left out."""
         lines = []
         for section, obj in (
             ("system", self.system),
@@ -160,7 +160,6 @@ class Scenario:
             ("noise", self.noise),
             ("detector", self.detector),
             ("scan", self.scan),
-            ("output", self.output),
         ):
             lines.append(f"[{section}]")
             for f in sorted(fields(obj), key=lambda f: f.name):
@@ -212,7 +211,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "drift_freq_hz": ("drift_freq_hz", _parse_float),
         "drift_step_std": ("drift_step_std", _parse_float),
         "duration_s": ("duration_s", _parse_float),
-        "lock": ("lock", _parse_bool),
     },
     "noise": {
         "h_white_pm": ("white_pm", _parse_float),
@@ -251,7 +249,7 @@ _RAM_PARAM_KEYS = ("alpha", "beta_angle", "m_diff", "dphi_n", "dphi_dc", "e0_sq"
 _GAIN_KEYS = ("kp", "ki", "kd", "dt", "output_clamp", "integrator_clamp")
 _SERVO_KEYS = (
     "drift_model", "drift_value", "drift_rate", "drift_amp", "drift_freq_hz",
-    "drift_step_std", "duration_s", "lock",
+    "drift_step_std", "duration_s",
 )
 _DETECTOR_KEYS = ("eta", "power_w", "signal_fraction", "n_participating")
 _BUDGET_KEYS = ("white_pm", "flicker_pm", "white_fm", "rw_fm")

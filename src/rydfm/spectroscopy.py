@@ -67,9 +67,7 @@ class AtResult:
             raise InvariantViolation("split_hz must be >= 0")
 
 
-def scan_probe(
-    sys: LadderSystem, drive: FieldDrive, grid: np.ndarray, *, refine: int = 1
-) -> MediumSpectrum:
+def scan_probe(sys: LadderSystem, drive: FieldDrive, grid: np.ndarray) -> MediumSpectrum:
     """Probe-detuning scan of the Doppler-averaged medium response.
 
     For each detuning Delta on `grid` (rad/s) the field-amplitude
@@ -81,9 +79,7 @@ def scan_probe(
         raise InvariantViolation("scan grid is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise InvariantViolation("scan grid must be strictly increasing")
-    chi = np.array(
-        [susceptibility(sys, replace(drive, delta_p=float(d)), refine=refine) for d in grid]
-    )
+    chi = np.array([susceptibility(sys, replace(drive, delta_p=float(d))) for d in grid])
     half_optical = 0.5 * sys.k_probe * sys.cell_length
     amp = np.exp(-half_optical * chi.imag)
     phase = half_optical * chi.real

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+from rydfm import quantum
 from rydfm.errors import (
     InvariantViolation,
     NonConvergenceError,
@@ -159,32 +160,54 @@ class TestSteadyState:
             assert value == pytest.approx(rho.matrix[1, 0], abs=1e-14)
 
 
+def fixed_rule_average(sys, drive, panels=2000, order=16):
+    """<rho21> by 16-point Gauss-Legendre on uniform panels over +-7 sigma."""
+    sigma = sys.v_thermal
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(-7 * sigma, 7 * sigma, panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    weights *= np.exp(-0.5 * (nodes / sigma) ** 2) / (math.sqrt(TWO_PI) * sigma)
+    return sum(
+        np.sum(weights[chunk] * _steady_rho21_many(sys, drive, nodes[chunk]))
+        for chunk in np.array_split(np.arange(nodes.size), 16)
+    )
+
+
 class TestDopplerAverage:
-    def test_cold_floor_returns_center_value(self, cold_system):
-        result = doppler_average(cold_system, FieldDrive(), lambda v: 3.25 + 0.5j)
-        assert result == 3.25 + 0.5j
+    def test_cold_floor_returns_center_value(self, cold_system, default_drive):
+        result = doppler_average(cold_system, default_drive)
+        assert result == _steady_rho21_many(cold_system, default_drive, np.zeros(1))[0]
+        assert result == pytest.approx(solve(cold_system, default_drive).rho21, abs=1e-14)
 
-    def test_odd_integrand_vanishes(self, warm_system, default_drive):
-        vth = warm_system.v_thermal
-        result = doppler_average(warm_system, default_drive, lambda v: v)
-        assert abs(result) < 1e-10 * vth
+    def test_matches_fixed_quadrature(self, warm_system, default_drive):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            drive = replace(
+                default_drive,
+                delta_p=rng.uniform(-TWO_PI * 30e6, TWO_PI * 30e6),
+                omega_rf=rng.uniform(0, TWO_PI * 20e6),
+                delta_rf=rng.uniform(-TWO_PI * 10e6, TWO_PI * 10e6),
+            )
+            exact = doppler_average(warm_system, drive)
+            reference = fixed_rule_average(warm_system, drive)
+            assert abs(exact - reference) <= 1e-9 * abs(reference)
 
-    def test_gaussian_moments(self, warm_system, default_drive):
-        vth = warm_system.v_thermal
-        m2 = doppler_average(warm_system, default_drive, lambda v: v ** 2)
-        m4 = doppler_average(warm_system, default_drive, lambda v: v ** 4)
-        assert m2.real == pytest.approx(vth ** 2, rel=1e-6)
-        assert m4.real == pytest.approx(3 * vth ** 4, rel=1e-6)
-
-    def test_unresolvable_oscillation_raises(self, warm_system, default_drive):
-        # oscillates far below any reachable node spacing, so successive
-        # refinements never agree
-        with pytest.raises(NonConvergenceError):
-            doppler_average(warm_system, default_drive, lambda v: math.sin(1e5 * v), max_refine=4)
+    def test_self_check_catches_mismatch(self, warm_system, default_drive, monkeypatch):
+        direct = quantum._steady_rho21_many
+        monkeypatch.setattr(quantum, "_steady_rho21_many", lambda *a: direct(*a) * (1 + 1e-6))
+        with pytest.raises(NonConvergenceError, match="cond"):
+            doppler_average(warm_system, default_drive)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(InvariantViolation):
             LadderSystem(temperature=-1.0, n_atoms=1e13)
+
+    def test_nonfinite_system_rejected(self):
+        with pytest.raises(InvariantViolation, match="gamma2"):
+            LadderSystem(gamma2=math.inf)
 
 
 class TestSusceptibility:
@@ -196,6 +219,10 @@ class TestSusceptibility:
     def test_requires_probe(self, cold_system):
         with pytest.raises(InvariantViolation):
             susceptibility(cold_system, FieldDrive())
+
+    def test_nonfinite_drive_rejected(self, cold_system):
+        with pytest.raises(InvariantViolation, match="omega_c"):
+            susceptibility(cold_system, FieldDrive(omega_p=4.2e7, omega_c=math.nan))
 
     def test_wings_monotone(self, cold_system):
         gamma = cold_system.gamma2

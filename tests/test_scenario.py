@@ -29,6 +29,11 @@ class TestDefaults:
         assert a.config_hash() == parse_scenario("").config_hash()
         assert a.config_hash() != b.config_hash()
 
+    def test_hash_ignores_output_dir(self):
+        a = parse_scenario("[output]\ndir = a\n")
+        b = parse_scenario("[output]\ndir = b\n")
+        assert a.config_hash() == b.config_hash() == parse_scenario("").config_hash()
+
 
 class TestErrors:
     def test_negative_cell_length_names_key(self):
@@ -44,8 +49,9 @@ class TestErrors:
             parse_scenario("[laser]\npower = 1\n")
 
     def test_unknown_key(self):
-        with pytest.raises(UnknownKeyError, match="bogus"):
-            parse_scenario("[system]\nbogus = 1\n")
+        for text, key in (("[system]\nbogus = 1\n", "bogus"), ("[ram]\nlock = true\n", "lock")):
+            with pytest.raises(UnknownKeyError, match=key):
+                parse_scenario(text)
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -74,12 +80,11 @@ class TestDerivedValues:
         assert scn.fm.beta == pytest.approx(index_from_dbm(8.0))
 
     def test_ram_block_feeds_three_objects(self):
-        text = "[ram]\nalpha = 0.02\nkp = 10\nki = 5\ndrift_model = ramp\nlock = false\n"
+        text = "[ram]\nalpha = 0.02\nkp = 10\nki = 5\ndrift_model = ramp\n"
         scn = parse_scenario(text)
         assert scn.ram.alpha == 0.02
         assert scn.gains.kp == 10
         assert scn.servo.drift_model == "ramp"
-        assert scn.servo.lock is False
 
 
 class TestLoadScenario:
