@@ -45,6 +45,7 @@ from .quantum import (
     doppler_average,
     steady_state,
     susceptibility,
+    susceptibility_batch,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
 from .servo import (
@@ -78,7 +79,7 @@ __all__ = [
     "shot_noise_series", "shot_noise_snr",
     "DensityMatrix", "FieldDrive", "LadderSystem", "build_hamiltonian",
     "build_liouvillian", "cs_vapor_density", "doppler_average",
-    "steady_state", "susceptibility",
+    "steady_state", "susceptibility", "susceptibility_batch",
     "Scenario", "load_scenario", "parse_scenario",
     "PidGains", "ServoTrace", "demod_error", "pid_step", "run_servo",
     "ziegler_nichols_gains",

@@ -201,7 +201,7 @@ def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
 
 
 def run_matched(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
-    grid_hz = np.arange(scn.scan.start_hz, scn.scan.stop_hz + scn.scan.step_hz / 2, scn.scan.step_hz)
+    grid_hz = scn.scan.detuning_grid_hz()
     drive = pipelines.drive_at_field(scn.system, scn.drive, scn.scan.e_operating)
     signal = pipelines.rf_detuning_scan(scn.system, drive, scn.fm, 2 * math.pi * grid_hz)
     if scn.scan.line_noise_rms > 0:

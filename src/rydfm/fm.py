@@ -35,6 +35,18 @@ def bessel_closure(beta: float, n_max: int) -> float:
     return float(np.sum(jv(orders, beta) ** 2))
 
 
+def _check_truncation(beta: float, n_max: int) -> None:
+    """Raise unless orders -n_max..n_max keep 1 - 1e-9 of the power (NaN fails)."""
+    if not (n_max >= 1):
+        raise InvariantViolation("n_max must be >= 1")
+    closure = bessel_closure(beta, n_max)
+    if not (closure >= 1 - BESSEL_CLOSURE_TOL):
+        raise TruncationError(
+            f"sideband truncation keeps {closure:.12f} of the power at "
+            f"n_max = {n_max}, beta = {beta}"
+        )
+
+
 @dataclass
 class FmConfig:
     """Modulation and demodulation settings of the FM readout."""
@@ -45,16 +57,11 @@ class FmConfig:
     lo_phase: float = math.pi / 2
 
     def __post_init__(self) -> None:
-        if self.omega_m <= 0:
-            raise InvariantViolation("omega_m must be > 0")
-        if self.n_max < 1:
-            raise InvariantViolation("n_max must be >= 1")
-        closure = bessel_closure(self.beta, self.n_max)
-        if closure < 1 - BESSEL_CLOSURE_TOL:
-            raise TruncationError(
-                f"sideband truncation keeps {closure:.12f} of the power at "
-                f"n_max = {self.n_max}, beta = {self.beta}"
-            )
+        if not (0 < self.omega_m < math.inf):
+            raise InvariantViolation("omega_m must be finite and > 0")
+        if not math.isfinite(self.lo_phase):
+            raise InvariantViolation("lo_phase must be finite")
+        _check_truncation(self.beta, self.n_max)
 
 
 @dataclass
@@ -114,14 +121,7 @@ def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> Sideband
     Raises TruncationError when the retained power falls below
     1 - 1e-9 at the requested order cutoff.
     """
-    if n_max < 1:
-        raise InvariantViolation("n_max must be >= 1")
-    closure = bessel_closure(beta, n_max)
-    if closure < 1 - BESSEL_CLOSURE_TOL:
-        raise TruncationError(
-            f"sideband truncation keeps {closure:.12f} of the power at "
-            f"n_max = {n_max}, beta = {beta}"
-        )
+    _check_truncation(beta, n_max)
     orders = np.arange(-n_max, n_max + 1)
     return SidebandSet(orders=orders, amps=jv(orders, beta).astype(complex), omega_m=omega_m)
 

@@ -6,14 +6,26 @@ from dataclasses import replace
 import numpy as np
 
 from .constants import HBAR
-from .fm import FmConfig, RamParams, apply_ram, dc_power, demodulate, propagate, sidebands
-from .quantum import FieldDrive, LadderSystem, susceptibility
+from .fm import (
+    FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, propagate, sidebands,
+)
+from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 from .spectroscopy import AtResult, MediumSpectrum, at_splitting, scan_probe
 
 
 def drive_at_field(sys: LadderSystem, drive: FieldDrive, e_rf: float) -> FieldDrive:
     """Operating point with the RF Rabi frequency set by a field amplitude."""
     return replace(drive, omega_rf=sys.mu_rf * e_rf / HBAR)
+
+
+def _sideband_grid(cfg: FmConfig, carrier_detuning: float) -> np.ndarray:
+    """Probe detunings of the carrier and its +-n_max sidebands."""
+    return carrier_detuning + np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
+
+
+def _sideband_set(cfg: FmConfig, ram: RamParams | None) -> SidebandSet:
+    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+    return sb if ram is None else apply_ram(sb, ram)
 
 
 def sideband_spectrum(
@@ -23,16 +35,8 @@ def sideband_spectrum(
     carrier_detuning: float,
 ) -> MediumSpectrum:
     """Medium response sampled exactly at the carrier and sideband detunings."""
-    offsets = np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
-    grid = carrier_detuning + offsets
-    chi = np.array([susceptibility(sys, replace(drive, delta_p=float(d))) for d in grid])
-    half_optical = 0.5 * sys.k_probe * sys.cell_length
-    return MediumSpectrum(
-        grid=grid,
-        chi=chi,
-        amp_transmission=np.exp(-half_optical * chi.imag),
-        phase=half_optical * chi.real,
-    )
+    grid = _sideband_grid(cfg, carrier_detuning)
+    return MediumSpectrum.from_chi(sys, grid, susceptibility_batch(sys, drive, grid))
 
 
 def fm_response(
@@ -46,10 +50,7 @@ def fm_response(
 ) -> tuple[float, float]:
     """Demodulated FM signal and relative DC power at one carrier detuning."""
     spec = sideband_spectrum(sys, drive, cfg, carrier_detuning)
-    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
-    if ram is not None:
-        sb = apply_ram(sb, ram)
-    prop = propagate(sb, spec, carrier_detuning)
+    prop = propagate(_sideband_set(cfg, ram), spec, carrier_detuning)
     phase = cfg.lo_phase if lo_phase is None else lo_phase
     return demodulate(prop, phase), dc_power(prop)
 
@@ -77,9 +78,7 @@ def fm_probe_scan(
         carrier_grid[-1] + step * np.arange(1, pad + 1),
     ])
     spec = scan_probe(sys, drive, extended)
-    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
-    if ram is not None:
-        sb = apply_ram(sb, ram)
+    sb = _sideband_set(cfg, ram)
     inphase = np.empty(carrier_grid.size)
     quadrature = np.empty(carrier_grid.size)
     for i, d in enumerate(carrier_grid):
@@ -97,12 +96,21 @@ def rf_detuning_scan(
     *,
     lo_phase: float | None = None,
 ) -> np.ndarray:
-    """Demodulated FM signal versus RF detuning at a fixed probe carrier."""
-    out = np.empty(np.asarray(rf_grid).size)
-    for i, d_rf in enumerate(np.asarray(rf_grid, dtype=float)):
-        detuned = replace(drive, delta_rf=float(d_rf))
-        out[i], _ = fm_response(sys, detuned, cfg, drive.delta_p, lo_phase=lo_phase)
-    return out
+    """Demodulated FM signal versus RF detuning at a fixed probe carrier.
+
+    The sideband detunings of every RF detuning are solved in one batched
+    call.
+    """
+    carrier = drive.delta_p
+    grid = _sideband_grid(cfg, carrier)
+    rf = np.asarray(rf_grid, dtype=float)
+    chi = susceptibility_batch(sys, drive, grid[None, :], rf[:, None])
+    sb = _sideband_set(cfg, None)
+    phase = cfg.lo_phase if lo_phase is None else lo_phase
+    return np.array([
+        demodulate(propagate(sb, MediumSpectrum.from_chi(sys, grid, row), carrier), phase)
+        for row in chi
+    ])
 
 
 def at_calibration(

@@ -21,7 +21,7 @@ gamma_deph = 1/T2 damps every coherence involving |3> or |4>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import wofz
@@ -154,12 +154,15 @@ class DensityMatrix:
 
     def validate(self) -> None:
         rho = self.matrix
-        if np.max(np.abs(rho - rho.conj().T)) > self.HERMITICITY_TOL:
+        if not np.all(np.isfinite(rho)):
+            raise InvariantViolation("density matrix has non-finite entries")
+        if not (np.max(np.abs(rho - rho.conj().T)) <= self.HERMITICITY_TOL):
             raise InvariantViolation("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > self.TRACE_TOL or abs(np.trace(rho).imag) > self.TRACE_TOL:
+        trace = np.trace(rho)
+        if not (abs(trace.real - 1.0) <= self.TRACE_TOL and abs(trace.imag) <= self.TRACE_TOL):
             raise InvariantViolation("density matrix trace is not 1")
         eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if eigs.min() < self.EIGENVALUE_FLOOR:
+        if not (eigs.min() >= self.EIGENVALUE_FLOOR):
             raise InvariantViolation("density matrix has a negative eigenvalue")
 
     @property
@@ -247,8 +250,7 @@ def _trace_solve(lam: np.ndarray, extra_rhs: np.ndarray | None = None) -> np.nda
     scale = np.max(np.abs(lam), axis=(-2, -1), keepdims=True)
     if np.any(scale == 0.0):
         raise SingularSystemError("Liouvillian is identically zero")
-    lam_n = lam / scale
-    a = lam_n.copy()
+    a = lam / scale
     a[..., 0, :] = 0.0
     a[..., 0, _TRACE_IDX] = 1.0
     rhs = np.zeros((16, 1), dtype=complex)
@@ -259,7 +261,7 @@ def _trace_solve(lam: np.ndarray, extra_rhs: np.ndarray | None = None) -> np.nda
         sol = np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
-    residual = float(np.max(np.linalg.norm(lam_n @ sol[..., :1], axis=-2)))
+    residual = float(np.max(np.linalg.norm((lam @ sol[..., :1]) / scale, axis=-2)))
     if not (residual <= 1e-10):
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds 1e-10; "
@@ -281,30 +283,46 @@ def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
     return DensityMatrix(vec.reshape(4, 4))
 
 
-def _velocity_diagonal(sys: LadderSystem) -> np.ndarray:
-    """d L / d v: the vec-space diagonal through which the velocity enters.
+def _level_shift_diagonal(shift: np.ndarray) -> np.ndarray:
+    """Vec-space diagonal that a Hamiltonian diagonal `shift` adds to L.
 
-    H_ii(v) = H_ii(0) + slope_i * v, so the commutator gains
-    -i (slope_i - slope_j) v on coherence (i, j); populations and the
-    (3, 4) coherence stay velocity-independent.
+    H_ii -> H_ii + shift_i adds -i (shift_i - shift_j) to coherence (i, j)
+    of the commutator; populations are unaffected.
     """
-    slope = np.array([0.0, sys.k_probe, sys.k_probe - sys.k_coupling, sys.k_probe - sys.k_coupling])
-    return (-1j * (slope[:, None] - slope[None, :])).ravel()
+    return (-1j * (shift[:, None] - shift[None, :])).ravel()
 
 
-def _steady_rho21_many(sys: LadderSystem, drive: FieldDrive, velocities: np.ndarray) -> np.ndarray:
-    """rho21 of the steady state for a stack of velocity classes."""
-    v = np.asarray(velocities, dtype=float)
-    base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
-    lam = np.broadcast_to(base, (v.size, 16, 16)).copy()
-    idx = np.arange(16)
-    lam[:, idx, idx] += v[:, None] * _velocity_diagonal(sys)[None, :]
-    return _trace_solve(lam)[:, _RHO21_IDX, 0]
+def _velocity_diagonal(sys: LadderSystem) -> np.ndarray:
+    """d L / d v: H_ii(v) = H_ii(0) + slope_i v, nonzero on 10 coherences."""
+    k_p, k_c = sys.k_probe, sys.k_coupling
+    return _level_shift_diagonal(np.array([0.0, k_p, k_p - k_c, k_p - k_c]))
 
 
-# --- Doppler averaging -------------------------------------------------------
+# d L / d delta_p and d L / d delta_rf: H carries minus the cumulative detunings
+_PROBE_DIAGONAL = _level_shift_diagonal(np.array([0.0, -1.0, -1.0, -1.0]))
+_RF_DIAGONAL = _level_shift_diagonal(np.array([0.0, 0.0, 0.0, -1.0]))
+_DIAG_IDX = np.arange(16)
+
+
+def _with_diagonal(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Stack of base + diag(offset) for each 16-vector of `offsets` (..., 16)."""
+    lam = np.broadcast_to(base, offsets.shape[:-1] + base.shape).copy()
+    lam[..., _DIAG_IDX, _DIAG_IDX] += offsets
+    return lam
+
+
+def _steady_rho21_many(lam: np.ndarray) -> np.ndarray:
+    """rho21 of the trace-1 steady state of every Liouvillian in a stack."""
+    return _trace_solve(lam)[..., _RHO21_IDX, 0]
+
+
+# --- batched, Doppler-averaged operating points ------------------------------
 
 SELF_CHECK_TOL = 1e-8
+# Operating points per stacked solve.  Bounds the working set: a few copies
+# of CHUNK 16x16 complex matrices (0.5 MB each).
+CHUNK = 128
+_CHECK_VELOCITIES = np.array([0.0, -1.0, 1.0, -3.0, 3.0])   # in units of sigma
 
 
 def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
@@ -322,67 +340,123 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
     return -z * (1.0 + zeta * plasma)
 
 
-def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
-    """Exact Maxwell-Boltzmann average of the steady-state probe coherence.
+def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf) -> np.ndarray:
+    """Maxwell-Boltzmann averaged probe coherence at a batch of operating points.
 
-    The velocity enters the trace-constrained system only through a
-    diagonal, A(v) = A0 + v D, nonzero on the 10 v-dependent coherences.
-    Woodbury on that block and one eigendecomposition of
-    K = D_P A0^-1[P, P] turn rho21 into the rational function
-    rho21(v) = c0 - sum_k alpha_k v / (1 + lambda_k v), whose pole terms
-    average in closed form to the plasma-dispersion (Faddeeva) function.
+    The points share the Rabi frequencies and coupling detuning of `drive`
+    and take their probe and RF detunings from `delta_p` and `delta_rf`
+    (broadcast together; the result has their shape).  The Liouvillian is
+    built once; each point is that matrix plus a diagonal, since the
+    diagonal is affine in delta_p, delta_rf and v.  Points are solved in
+    stacks of `CHUNK`.
+    """
+    delta_p, delta_rf = np.broadcast_arrays(
+        np.asarray(delta_p, dtype=float), np.asarray(delta_rf, dtype=float)
+    )
+    if not (np.all(np.isfinite(delta_p)) and np.all(np.isfinite(delta_rf))):
+        raise InvariantViolation("operating-point detunings must be finite")
+    reference = replace(drive, delta_p=0.0, delta_rf=0.0)
+    base = build_liouvillian(build_hamiltonian(sys, reference), sys)
+    probe, rf = delta_p.ravel(), delta_rf.ravel()
+    out = np.empty(probe.size, dtype=complex)
+    for start in range(0, probe.size, CHUNK):
+        chunk = slice(start, start + CHUNK)
+        out[chunk] = _chunk_rho21(sys, base, probe[chunk], rf[chunk])
+    return out.reshape(delta_p.shape)
+
+
+def _chunk_rho21(
+    sys: LadderSystem, base: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray
+) -> np.ndarray:
+    """<rho21> for one stack of operating points built on `base`.
 
     Below `V_THERMAL_FLOOR` the distribution is a delta function and the
-    result is the single v = 0 solve.
+    result is the v = 0 solve.  Otherwise the velocity enters the
+    trace-constrained system only through a diagonal, A(v) = A0 + v D,
+    nonzero on the 10 v-dependent coherences.  Woodbury on that block and
+    one eigendecomposition of K = D_P A0^-1[P, P] turn rho21 into the
+    rational function rho21(v) = c0 - sum_k alpha_k v / (1 + lambda_k v),
+    whose pole terms average in closed form to the plasma-dispersion
+    (Faddeeva) function.
 
     Raises
     ------
     NonConvergenceError
-        If the rational form disagrees with direct solves at v = 0,
-        +-sigma and +-3 sigma by more than `SELF_CHECK_TOL` relative
-        (the eigenbasis is too ill-conditioned to trust).
+        If at any point the rational form disagrees with direct solves at
+        v = 0, +-sigma and +-3 sigma by more than `SELF_CHECK_TOL` relative
+        (the eigenbasis is too ill-conditioned to trust); the message names
+        the worst point's probe detuning.
     """
-    if sys.temperature < 0:
-        raise InvariantViolation("temperature must be >= 0")
+    offsets = np.outer(delta_p, _PROBE_DIAGONAL) + np.outer(delta_rf, _RF_DIAGONAL)
+    lam = _with_diagonal(base, offsets)
     sigma = sys.v_thermal
     if sigma < V_THERMAL_FLOOR:
-        return complex(_steady_rho21_many(sys, drive, np.zeros(1))[0])
+        return _steady_rho21_many(lam)
 
-    base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
     d_v = _velocity_diagonal(sys)
     moving = np.flatnonzero(d_v)                       # the v-dependent coherences
-    sol = _trace_solve(base, np.eye(16)[:, moving])
-    x0, inv_cols = sol[:, 0], sol[:, 1:]
-    d_p = d_v[moving] / np.max(np.abs(base))          # same normalization as A0
-    lam, vecs = np.linalg.eig(d_p[:, None] * inv_cols[moving, :])
-    alpha = (inv_cols[_RHO21_IDX, :] @ vecs) * np.linalg.solve(vecs, d_p * x0[moving])
-    c0 = x0[_RHO21_IDX]
+    sol = _trace_solve(lam, np.eye(16)[:, moving])
+    x0, inv_cols = sol[..., 0], sol[..., 1:]
+    # same per-point normalization as A0 in _trace_solve
+    d_p = d_v[moving] / np.max(np.abs(lam), axis=(-2, -1))[:, None]
+    poles, vecs = np.linalg.eig(d_p[:, :, None] * inv_cols[:, moving, :])
+    weights = np.linalg.solve(vecs, (d_p * x0[:, moving])[..., None])[..., 0]
+    alpha = (inv_cols[:, None, _RHO21_IDX, :] @ vecs)[:, 0] * weights
+    c0 = x0[:, _RHO21_IDX]
 
-    probe_v = sigma * np.array([0.0, -1.0, 1.0, -3.0, 3.0])
-    rational = c0 - (alpha * probe_v[:, None] / (1.0 + lam * probe_v[:, None])).sum(axis=1)
-    direct = _steady_rho21_many(sys, drive, probe_v)
-    mismatch = np.max(np.abs(rational - direct))
-    if not (mismatch <= SELF_CHECK_TOL * np.max(np.abs(direct))):
+    probe_v = sigma * _CHECK_VELOCITIES
+    terms = alpha[:, None, :] * probe_v[:, None] / (1.0 + poles[:, None, :] * probe_v[:, None])
+    rational = c0[:, None] - terms.sum(axis=-1)
+    direct = np.stack(
+        [_steady_rho21_many(_with_diagonal(base, offsets + v * d_v)) for v in probe_v], axis=1
+    )
+    mismatch = np.max(np.abs(rational - direct), axis=1)
+    scale = np.max(np.abs(direct), axis=1)
+    ok = mismatch <= SELF_CHECK_TOL * scale
+    if not np.all(ok):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(ok, 0.0, np.nan_to_num(mismatch / scale, nan=np.inf))
+        worst = int(np.argmax(rel))
         raise NonConvergenceError(
-            f"velocity-pole expansion misses direct solves by {mismatch:.3e} "
-            f"(tolerance {SELF_CHECK_TOL:g} relative); cond(eigenvectors) = "
-            f"{np.linalg.cond(vecs):.3e}"
+            f"velocity-pole expansion misses direct solves by {rel[worst]:.3e} relative "
+            f"(tolerance {SELF_CHECK_TOL:g}) at probe detuning "
+            f"{delta_p[worst] / (2 * math.pi):.6g} Hz; cond(eigenvectors) = "
+            f"{np.linalg.cond(vecs[worst]):.3e}"
         )
-    return complex(c0 - np.sum(alpha * _mean_pole_term(lam, sigma)))
+    return c0 - np.sum(alpha * _mean_pole_term(poles, sigma), axis=-1)
 
 
-def susceptibility(sys: LadderSystem, drive: FieldDrive) -> complex:
-    """Complex probe susceptibility at one operating point.
+def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
+    """Exact Maxwell-Boltzmann average of the steady-state probe coherence.
+
+    A size-1 call of the batched kernel; see `_chunk_rho21` for the
+    velocity-pole expansion and its self-check.
+    """
+    return complex(_mean_rho21(sys, drive, drive.delta_p, drive.delta_rf))
+
+
+def susceptibility_batch(
+    sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf=None
+) -> np.ndarray:
+    """Complex probe susceptibility at a batch of operating points.
 
     chi = 2 n mu12^2 <rho21> / (eps0 hbar Omega_p) with <rho21> the
     Doppler-averaged probe coherence of the full nonlinear steady state.
+    The points are `drive` with its probe detuning replaced by each entry
+    of `delta_p` and its RF detuning by `delta_rf` (default
+    `drive.delta_rf`), broadcast together into the shape of the result.
     """
-    if drive.omega_p <= 0:
+    if not (drive.omega_p > 0):
         raise InvariantViolation("susceptibility requires omega_p > 0")
-    rho21 = doppler_average(sys, drive)
+    rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf)
     chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
-    if not (chi.imag >= -1e-12 * max(1.0, abs(chi))):
+    if not np.all(chi.imag >= -1e-12 * np.maximum(1.0, np.abs(chi))):
         raise InvariantViolation(
-            f"negative probe absorption Im chi = {chi.imag:.3e}; passive medium violated"
+            f"negative probe absorption Im chi = {np.min(chi.imag):.3e}; passive medium violated"
         )
     return chi
+
+
+def susceptibility(sys: LadderSystem, drive: FieldDrive) -> complex:
+    """Complex probe susceptibility at one operating point (size-1 batch)."""
+    return complex(susceptibility_batch(sys, drive, drive.delta_p))

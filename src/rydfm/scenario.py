@@ -24,6 +24,8 @@ from .quantum import FieldDrive, LadderSystem
 from .servo import PidGains
 
 _TWO_PI = 2 * math.pi
+# Largest probe or field grid a scenario may request (bounds the work per run).
+MAX_GRID_POINTS = 10 ** 6
 
 
 def _parse_float(text: str) -> float:
@@ -48,6 +50,16 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_str(text: str) -> str:
     return text.strip()
+
+
+def _grid_points(start: float, stop: float, step: float, what: str) -> int:
+    """Point count of the grid start, start + step, ... <= stop, capped."""
+    span = (stop - start) / step + 1e-9
+    if not (span < MAX_GRID_POINTS):
+        raise InvariantViolation(
+            f"{what} grid would hold {span:.3g} points; the limit is {MAX_GRID_POINTS}"
+        )
+    return int(span) + 1
 
 
 @dataclass
@@ -115,13 +127,18 @@ class ScanOpts:
             raise InvariantViolation("kernel_hwhm_hz and e_operating must be > 0")
         if self.line_noise_rms < 0:
             raise InvariantViolation("line_noise_rms must be >= 0")
+        _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
+        _grid_points(self.e_start, self.e_stop, self.e_step, "field")
+
+    def detuning_grid_hz(self) -> np.ndarray:
+        n = _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
+        return self.start_hz + self.step_hz * np.arange(n)
 
     def probe_grid_rad_s(self) -> np.ndarray:
-        n = int(math.floor((self.stop_hz - self.start_hz) / self.step_hz + 1e-9)) + 1
-        return _TWO_PI * (self.start_hz + self.step_hz * np.arange(n))
+        return _TWO_PI * self.detuning_grid_hz()
 
     def field_grid(self) -> np.ndarray:
-        n = int(math.floor((self.e_stop - self.e_start) / self.e_step + 1e-9)) + 1
+        n = _grid_points(self.e_start, self.e_stop, self.e_step, "field")
         return self.e_start + self.e_step * np.arange(n)
 
 

@@ -1,14 +1,14 @@
 """Probe transmission spectra, AT-splitting extraction and field conversion."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import find_peaks, peak_widths
 
 from .constants import C_LIGHT, EPS0, HBAR, H_PLANCK
 from .errors import DomainError, InvariantViolation
-from .quantum import FieldDrive, LadderSystem, susceptibility
+from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 
 
 @dataclass
@@ -36,10 +36,23 @@ class MediumSpectrum:
             raise InvariantViolation("spectrum grid is empty")
         if not (self.chi.size == self.amp_transmission.size == self.phase.size == n):
             raise InvariantViolation("spectrum arrays have unequal lengths")
+        if not all(np.all(np.isfinite(a)) for a in (self.grid, self.chi, self.phase)):
+            raise InvariantViolation("spectrum grid, chi and phase must be finite")
         if n > 1 and not np.all(np.diff(self.grid) > 0):
             raise InvariantViolation("spectrum grid must be strictly increasing")
-        if np.any(self.amp_transmission <= 0) or np.any(self.amp_transmission > 1 + 1e-12):
+        if not np.all((self.amp_transmission > 0) & (self.amp_transmission <= 1 + 1e-12)):
             raise InvariantViolation("amplitude transmission must satisfy 0 < t <= 1")
+
+    @classmethod
+    def from_chi(cls, sys: LadderSystem, grid: np.ndarray, chi: np.ndarray) -> MediumSpectrum:
+        """Single-pass response of the cell to the susceptibility on `grid`.
+
+        The field-amplitude transmission is exp(-k_p L Im chi / 2) and the
+        phase shift is k_p L Re chi / 2 over the cell length L.
+        """
+        half_optical = 0.5 * sys.k_probe * sys.cell_length
+        return cls(grid=grid, chi=chi, amp_transmission=np.exp(-half_optical * chi.imag),
+                   phase=half_optical * chi.real)
 
     @property
     def power_transmission(self) -> np.ndarray:
@@ -70,20 +83,15 @@ class AtResult:
 def scan_probe(sys: LadderSystem, drive: FieldDrive, grid: np.ndarray) -> MediumSpectrum:
     """Probe-detuning scan of the Doppler-averaged medium response.
 
-    For each detuning Delta on `grid` (rad/s) the field-amplitude
-    transmission is exp(-k_p L Im chi / 2) and the phase shift is
-    k_p L Re chi / 2 over the cell length L.
+    Every detuning on `grid` (rad/s) is solved in one batched call; the
+    response follows `MediumSpectrum.from_chi`.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvariantViolation("scan grid is empty")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise InvariantViolation("scan grid must be strictly increasing")
-    chi = np.array([susceptibility(sys, replace(drive, delta_p=float(d))) for d in grid])
-    half_optical = 0.5 * sys.k_probe * sys.cell_length
-    amp = np.exp(-half_optical * chi.imag)
-    phase = half_optical * chi.real
-    return MediumSpectrum(grid=grid, chi=chi, amp_transmission=amp, phase=phase)
+    return MediumSpectrum.from_chi(sys, grid, susceptibility_batch(sys, drive, grid))
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rydfm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from rydfm.scenario import ScanOpts
 
 TWO_PI = 2 * math.pi
 
@@ -72,6 +73,21 @@ class TestExitCodes:
         rc = main(["sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "derivative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("step_hz", "1e-6"), ("e_step", "1e-12")])
+    def test_oversized_grid_is_a_config_error(self, key, value, tmp_path, capsys, monkeypatch):
+        # the point count is checked before any grid exists
+        def no_grid(self):
+            raise AssertionError("grid built")
+
+        for method in ("detuning_grid_hz", "probe_grid_rad_s", "field_grid"):
+            monkeypatch.setattr(ScanOpts, method, no_grid)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(COLD_BASE.replace(f"{key} = ", f"{key} = {value} # "))
+        for subcommand in ("scan", "atcal", "matched"):
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert "limit is 1000000" in capsys.readouterr().err
 
 
 class TestOutputs:

@@ -72,6 +72,18 @@ class TestSidebands:
     def test_closure_helper(self):
         assert bessel_closure(0.7, 8) == pytest.approx(1.0, abs=1e-12)
 
+    def test_nan_index_rejected(self):
+        with pytest.raises(TruncationError, match="nan"):
+            sidebands(math.nan, 8)
+        with pytest.raises(TruncationError, match="nan"):
+            FmConfig(beta=math.nan)
+
+    @pytest.mark.parametrize("field", ["omega_m", "lo_phase"])
+    def test_nonfinite_config_rejected(self, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvariantViolation, match=field):
+                FmConfig(**{field: value})
+
 
 class TestPropagate:
     def test_vacuum_unchanged(self):

@@ -12,6 +12,7 @@ from rydfm.errors import (
     SingularSystemError,
 )
 from rydfm.quantum import (
+    CHUNK,
     DensityMatrix,
     FieldDrive,
     LadderSystem,
@@ -22,6 +23,7 @@ from rydfm.quantum import (
     doppler_average,
     steady_state,
     susceptibility,
+    susceptibility_batch,
 )
 
 TWO_PI = 2 * math.pi
@@ -29,6 +31,13 @@ TWO_PI = 2 * math.pi
 
 def solve(sys, drive, v=0.0):
     return steady_state(build_liouvillian(build_hamiltonian(sys, drive, v), sys))
+
+
+def rho21_at_velocities(sys, drive, velocities):
+    """Direct steady-state rho21 of one operating point for a stack of velocity classes."""
+    base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
+    offsets = np.multiply.outer(velocities, quantum._velocity_diagonal(sys))
+    return _steady_rho21_many(quantum._with_diagonal(base, offsets))
 
 
 class TestHamiltonian:
@@ -97,6 +106,15 @@ class TestLiouvillian:
         assert f4[0, 0] == pytest.approx(0.25) and f4[3, 3] == pytest.approx(-0.25)
 
 
+class TestDensityMatrix:
+    def test_nan_matrix_rejected(self):
+        rho = np.zeros((4, 4), dtype=complex)
+        rho[0, 0] = 1.0
+        rho[1, 0] = math.nan
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            DensityMatrix(rho)
+
+
 class TestSteadyState:
     def test_no_excitation(self, cold_system):
         rho = solve(cold_system, FieldDrive())
@@ -154,7 +172,7 @@ class TestSteadyState:
 
     def test_batch_matches_single(self, warm_system, default_drive):
         velocities = np.array([-120.0, -3.0, 0.0, 7.5, 220.0])
-        batch = _steady_rho21_many(warm_system, default_drive, velocities)
+        batch = rho21_at_velocities(warm_system, default_drive, velocities)
         for v, value in zip(velocities, batch):
             rho = solve(warm_system, default_drive, v)
             assert value == pytest.approx(rho.matrix[1, 0], abs=1e-14)
@@ -171,7 +189,7 @@ def fixed_rule_average(sys, drive, panels=2000, order=16):
     weights = (half[:, None] * w).ravel()
     weights *= np.exp(-0.5 * (nodes / sigma) ** 2) / (math.sqrt(TWO_PI) * sigma)
     return sum(
-        np.sum(weights[chunk] * _steady_rho21_many(sys, drive, nodes[chunk]))
+        np.sum(weights[chunk] * rho21_at_velocities(sys, drive, nodes[chunk]))
         for chunk in np.array_split(np.arange(nodes.size), 16)
     )
 
@@ -179,7 +197,6 @@ def fixed_rule_average(sys, drive, panels=2000, order=16):
 class TestDopplerAverage:
     def test_cold_floor_returns_center_value(self, cold_system, default_drive):
         result = doppler_average(cold_system, default_drive)
-        assert result == _steady_rho21_many(cold_system, default_drive, np.zeros(1))[0]
         assert result == pytest.approx(solve(cold_system, default_drive).rho21, abs=1e-14)
 
     def test_matches_fixed_quadrature(self, warm_system, default_drive):
@@ -200,6 +217,22 @@ class TestDopplerAverage:
         monkeypatch.setattr(quantum, "_steady_rho21_many", lambda *a: direct(*a) * (1 + 1e-6))
         with pytest.raises(NonConvergenceError, match="cond"):
             doppler_average(warm_system, default_drive)
+        with pytest.raises(NonConvergenceError, match="cond"):
+            susceptibility_batch(warm_system, default_drive, TWO_PI * np.linspace(-20e6, 20e6, 7))
+
+    def test_self_check_names_worst_detuning(self, warm_system, default_drive, monkeypatch):
+        direct = quantum._steady_rho21_many
+
+        def perturbed(lam):
+            out = direct(lam)
+            out[2] *= 1 + 1e-7
+            out[3] *= 1 + 1e-6       # the worst point: +5 MHz
+            return out
+
+        monkeypatch.setattr(quantum, "_steady_rho21_many", perturbed)
+        grid = TWO_PI * np.array([-10e6, -5e6, 0.0, 5e6, 10e6])
+        with pytest.raises(NonConvergenceError, match=r"at probe detuning 5e\+06 Hz"):
+            susceptibility_batch(warm_system, default_drive, grid)
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -208,6 +241,76 @@ class TestDopplerAverage:
     def test_nonfinite_system_rejected(self):
         with pytest.raises(InvariantViolation, match="gamma2"):
             LadderSystem(gamma2=math.inf)
+
+
+def pole_expansion_oracle(sys, drive):
+    """Velocity-pole expansion of one operating point from its own Liouvillian."""
+    base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
+    d_v = quantum._velocity_diagonal(sys)
+    moving = np.flatnonzero(d_v)
+    sol = quantum._trace_solve(base, np.eye(16)[:, moving])
+    x0, inv_cols = sol[:, 0], sol[:, 1:]
+    d_p = d_v[moving] / np.max(np.abs(base))
+    poles, vecs = np.linalg.eig(d_p[:, None] * inv_cols[moving, :])
+    alpha = (inv_cols[4, :] @ vecs) * np.linalg.solve(vecs, d_p * x0[moving])
+    return x0[4] - np.sum(alpha * quantum._mean_pole_term(poles, sys.v_thermal))
+
+
+def random_detunings(n, seed):
+    rng = np.random.default_rng(seed)
+    delta_p = rng.uniform(-TWO_PI * 30e6, TWO_PI * 30e6, n)
+    return delta_p, rng.uniform(-TWO_PI * 10e6, TWO_PI * 10e6, n)
+
+
+def max_rel_diff(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)) / np.abs(b)))
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
+    def test_cold_matches_per_point_solves(self, cold_system, n):
+        drive = FieldDrive(omega_p=TWO_PI * 0.4e6, omega_c=TWO_PI * 1.2e6, omega_rf=TWO_PI * 20e6)
+        delta_p, delta_rf = random_detunings(n, seed=n)
+        batch = quantum._mean_rho21(cold_system, drive, delta_p, delta_rf)
+        oracle = [solve(cold_system, replace(drive, delta_p=p, delta_rf=r)).rho21
+                  for p, r in zip(delta_p, delta_rf)]
+        assert max_rel_diff(batch, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, CHUNK, CHUNK + 1])
+    def test_warm_matches_per_point_expansion(self, warm_system, default_drive, n):
+        drive = replace(default_drive, omega_rf=TWO_PI * 5e6)
+        delta_p, delta_rf = random_detunings(n, seed=100 + n)
+        batch = quantum._mean_rho21(warm_system, drive, delta_p, delta_rf)
+        oracle = [pole_expansion_oracle(warm_system, replace(drive, delta_p=p, delta_rf=r))
+                  for p, r in zip(delta_p, delta_rf)]
+        assert max_rel_diff(batch, oracle) <= 1e-12
+
+    def test_warm_matches_fixed_quadrature_in_a_batch(self, warm_system, default_drive):
+        drive = replace(default_drive, omega_rf=TWO_PI * 5e6)
+        delta_p, delta_rf = random_detunings(2, seed=3)
+        batch = quantum._mean_rho21(warm_system, drive, delta_p, delta_rf)
+        oracle = [fixed_rule_average(warm_system, replace(drive, delta_p=p, delta_rf=r))
+                  for p, r in zip(delta_p, delta_rf)]
+        assert max_rel_diff(batch, oracle) <= 1e-9
+
+    def test_detunings_broadcast(self, warm_system, default_drive):
+        grid = TWO_PI * np.linspace(-20e6, 20e6, 9)
+        rf = TWO_PI * np.array([-2e6, 0.0, 3e6])
+        chi = susceptibility_batch(warm_system, default_drive, grid, rf[:, None])
+        assert chi.shape == (3, 9)
+        for row, d_rf in zip(chi, rf):
+            drive = replace(default_drive, delta_rf=d_rf)
+            assert max_rel_diff(row, susceptibility_batch(warm_system, drive, grid)) <= 1e-15
+
+    def test_single_point_is_a_size_one_batch(self, warm_system, default_drive):
+        drive = replace(default_drive, delta_p=TWO_PI * 3e6, delta_rf=TWO_PI * 1e6)
+        assert susceptibility(warm_system, drive) == susceptibility_batch(
+            warm_system, replace(drive, delta_rf=0.0), [drive.delta_p], [drive.delta_rf])[0]
+
+    def test_nonfinite_detuning_rejected(self, cold_system):
+        drive = FieldDrive(omega_p=TWO_PI * 1e6)
+        with pytest.raises(InvariantViolation, match="finite"):
+            susceptibility_batch(cold_system, drive, np.array([0.0, math.nan]))
 
 
 class TestSusceptibility:

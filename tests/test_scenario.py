@@ -4,7 +4,7 @@ import pytest
 
 from rydfm.errors import InvariantViolation, ParseError, UnknownKeyError
 from rydfm.fm import index_from_dbm
-from rydfm.scenario import load_scenario, parse_scenario
+from rydfm.scenario import MAX_GRID_POINTS, ScanOpts, load_scenario, parse_scenario
 
 TWO_PI = 2 * math.pi
 
@@ -85,6 +85,18 @@ class TestDerivedValues:
         assert scn.ram.alpha == 0.02
         assert scn.gains.kp == 10
         assert scn.servo.drift_model == "ramp"
+
+
+class TestGridBounds:
+    def test_grid_at_the_cap_allowed(self):
+        opts = ScanOpts(start_hz=0.0, stop_hz=MAX_GRID_POINTS - 1.0, step_hz=1.0)
+        assert opts.detuning_grid_hz().size == MAX_GRID_POINTS
+
+    def test_grid_above_the_cap_rejected(self):
+        with pytest.raises(InvariantViolation, match="detuning grid"):
+            ScanOpts(start_hz=0.0, stop_hz=float(MAX_GRID_POINTS), step_hz=1.0)
+        with pytest.raises(InvariantViolation, match="detuning grid"):
+            ScanOpts(start_hz=-1e308, stop_hz=1e308)
 
 
 class TestLoadScenario:

@@ -7,7 +7,7 @@ import pytest
 from rydfm.constants import A0, E_CHARGE, H_PLANCK
 from rydfm.errors import DomainError, InvariantViolation
 from rydfm.pipelines import at_calibration, drive_at_field
-from rydfm.quantum import FieldDrive
+from rydfm.quantum import FieldDrive, susceptibility
 from rydfm.spectroscopy import (
     AtResult,
     MediumSpectrum,
@@ -77,6 +77,25 @@ class TestScanProbe:
         rows = spectrum_rows(spec)
         assert rows.shape == (5, 5)
         assert rows[0, 0] == pytest.approx(-2e6)
+
+
+    def test_matches_per_point_susceptibility(self, warm_system, default_drive):
+        grid = TWO_PI * np.linspace(-20e6, 20e6, 7)
+        spec = scan_probe(warm_system, default_drive, grid)
+        for d, chi in zip(grid, spec.chi):
+            single = susceptibility(warm_system, replace(default_drive, delta_p=d))
+            assert chi == pytest.approx(single, rel=1e-12)
+
+
+class TestMediumSpectrum:
+    @pytest.mark.parametrize("field", ["grid", "chi", "amp_transmission", "phase"])
+    def test_nan_rejected(self, field):
+        arrays = {"grid": np.array([0.0, 1.0]), "chi": np.zeros(2, complex),
+                  "amp_transmission": np.full(2, 0.5), "phase": np.zeros(2)}
+        arrays[field] = arrays[field].copy()
+        arrays[field][0] = math.nan
+        with pytest.raises(InvariantViolation):
+            MediumSpectrum(**arrays)
 
 
 class TestAtSplitting:
