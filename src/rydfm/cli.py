@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import platform
@@ -277,7 +278,14 @@ def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> RunManifest:
     return manifest
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    A parser and its subparsers form reference cycles (about 330 objects),
+    so building one per `main` call leaves that much garbage for the
+    cyclic collector on every call of a long-lived caller.
+    """
     parser = argparse.ArgumentParser(
         prog="rydfm",
         description="Rydberg RF electrometry simulator with FM readout",

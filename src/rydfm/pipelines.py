@@ -50,9 +50,15 @@ def fm_response(
 ) -> tuple[float, float]:
     """Demodulated FM signal and relative DC power at one carrier detuning."""
     spec = sideband_spectrum(sys, drive, cfg, carrier_detuning)
-    prop = propagate(_sideband_set(cfg, ram), spec, carrier_detuning)
-    phase = cfg.lo_phase if lo_phase is None else lo_phase
-    return demodulate(prop, phase), dc_power(prop)
+    return _fm_signal(cfg, _sideband_set(cfg, ram), spec, carrier_detuning, lo_phase)
+
+
+def _fm_signal(
+    cfg: FmConfig, sb: SidebandSet, spec: MediumSpectrum, carrier_detuning: float, lo_phase
+) -> tuple[float, float]:
+    """Demodulated signal (at `cfg.lo_phase` unless given) and relative DC power."""
+    prop = propagate(sb, spec, carrier_detuning)
+    return demodulate(prop, cfg.lo_phase if lo_phase is None else lo_phase), dc_power(prop)
 
 
 def fm_probe_scan(
@@ -106,9 +112,8 @@ def rf_detuning_scan(
     rf = np.asarray(rf_grid, dtype=float)
     chi = susceptibility_batch(sys, drive, grid[None, :], rf[:, None])
     sb = _sideband_set(cfg, None)
-    phase = cfg.lo_phase if lo_phase is None else lo_phase
     return np.array([
-        demodulate(propagate(sb, MediumSpectrum.from_chi(sys, grid, row), carrier), phase)
+        _fm_signal(cfg, sb, MediumSpectrum.from_chi(sys, grid, row), carrier, lo_phase)[0]
         for row in chi
     ])
 

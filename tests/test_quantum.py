@@ -197,6 +197,7 @@ def fixed_rule_average(sys, drive, panels=2000, order=16):
 class TestDopplerAverage:
     def test_cold_floor_returns_center_value(self, cold_system, default_drive):
         result = doppler_average(cold_system, default_drive)
+        assert result == rho21_at_velocities(cold_system, default_drive, np.zeros(1))[0]
         assert result == pytest.approx(solve(cold_system, default_drive).rho21, abs=1e-14)
 
     def test_matches_fixed_quadrature(self, warm_system, default_drive):
