@@ -19,6 +19,7 @@ import os
 import platform
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,16 +49,22 @@ class RunManifest:
     outputs: list[str]
 
 
+_FLOAT_FORMAT = "%.12e"  # `_FLOAT_FORMAT % x` gives the bytes of f"{x:.12e}"
+CSV_BLOCK_ROWS = 4096  # CSV body rows formatted by one "%" and written at once
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12e}"
+    return _FLOAT_FORMAT % value
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, lines: list[str], blocks: Iterable[str] = ()) -> None:
+    """Write `lines`, then the text `blocks`, to a temp file renamed over `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.write("\n".join(lines) + "\n")
+            handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,12 +72,21 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _csv_blocks(table: np.ndarray) -> Iterator[str]:
+    """CSV lines of a 2-D float table, CSV_BLOCK_ROWS rows per string."""
+    row_format = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"
+    for block in np.split(table, range(CSV_BLOCK_ROWS, len(table), CSV_BLOCK_ROWS)):
+        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+
+
+def _header_lines(header: dict) -> list[str]:
+    return [f"# {key} = {value}" for key, value in header.items()]
+
+
 def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray) -> None:
-    lines = [f"# {key} = {value}" for key, value in header.items()]
-    lines.append("# columns: " + ",".join(columns))
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(_fmt(float(x)) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    table = np.atleast_2d(np.asarray(rows, dtype=float))
+    lines = _header_lines(header) + ["# columns: " + ",".join(columns)]
+    _atomic_write(path, lines, _csv_blocks(table))
 
 
 def _header(scn: Scenario, seed: int) -> dict:
@@ -189,14 +205,13 @@ def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     )
     outputs = [path]
     labels = analysis.classify_noise(result)
-    lines = [f"# {key} = {value}" for key, value in header.items()]
-    lines.append("# columns: tau_lo_s,tau_hi_s,slope,label,ambiguous")
+    lines = _header_lines(header) + ["# columns: tau_lo_s,tau_hi_s,slope,label,ambiguous"]
     for lab in labels:
         lines.append(
             f"{_fmt(lab.tau_lo)},{_fmt(lab.tau_hi)},{_fmt(lab.slope)},{lab.label},{int(lab.ambiguous)}"
         )
     cpath = _out_path(outdir, "allan_classification.csv")
-    _atomic_write(cpath, "\n".join(lines) + "\n")
+    _atomic_write(cpath, lines)
     outputs.append(cpath)
     return outputs
 
@@ -223,8 +238,7 @@ def run_sensitivity(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         scn.system, scn.drive, scn.fm, scn.detector, scn.scan.e_operating
     )
     header = _header(scn, seed)
-    lines = [f"# {key} = {value}" for key, value in header.items()]
-    lines += [
+    lines = _header_lines(header) + [
         f"responsivity_a_per_v_m = {_fmt(report.responsivity)}",
         f"noise_floor_a_per_sqrt_hz = {_fmt(report.noise_floor)}",
         f"e_min_v_per_m_sqrt_hz = {_fmt(report.e_min)}",
@@ -233,7 +247,7 @@ def run_sensitivity(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         f"e_operating_v_per_m = {_fmt(scn.scan.e_operating)}",
     ]
     path = _out_path(outdir, "sensitivity.txt")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, lines)
     return [path]
 
 
@@ -274,7 +288,7 @@ def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> RunManifest:
         f"started = {manifest.started}",
         f"finished = {manifest.finished}",
     ] + [f"output = {p}" for p in manifest.outputs]
-    _atomic_write(outdir / f"manifest_{subcommand}.txt", "\n".join(lines) + "\n")
+    _atomic_write(outdir / f"manifest_{subcommand}.txt", lines)
     return manifest
 
 

@@ -86,10 +86,11 @@ class RamParams:
         for name in ("alpha", "beta_angle"):
             if not -math.pi / 2 < getattr(self, name) < math.pi / 2:
                 raise InvariantViolation(f"{name} must lie in (-pi/2, pi/2)")
-        if not math.isfinite(self.m_diff):
-            raise InvariantViolation("m_diff must be finite")
-        if self.e0_sq < 0:
-            raise InvariantViolation("e0_sq must be >= 0")
+        for name in ("m_diff", "dphi_n", "dphi_dc"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(f"{name} must be finite")
+        if not (0 <= self.e0_sq < math.inf):
+            raise InvariantViolation("e0_sq must be finite and >= 0")
 
 
 @dataclass
@@ -187,25 +188,18 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
         raise InvariantViolation("harmonic order must be positive")
     if n % 2 == 0:
         raise EvenHarmonicError(f"residual-AM formula applies to odd harmonics, got n = {n}")
-    amplitude = (
-        -p.e0_sq
-        * math.sin(2 * p.alpha)
-        * math.sin(2 * p.beta_angle)
-        * float(jv(n, p.m_diff))
-        * math.sin(p.dphi_n + p.dphi_dc)
-    )
+    amplitude = _ram_amplitude(p, n) * math.sin(p.dphi_n + p.dphi_dc)
     return amplitude * np.sin(n * omega_m * np.asarray(t, dtype=float))
+
+
+def _ram_amplitude(p: RamParams, n: int) -> float:
+    """-e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M), the RAM factor of sin(dphi_n + dphi_dc)."""
+    return -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle) * float(jv(n, p.m_diff))
 
 
 def ram_mod_depth(p: RamParams) -> float:
     """Signed sin(omega_m t) coefficient of the residual-AM photocurrent."""
-    return (
-        -p.e0_sq
-        * math.sin(2 * p.alpha)
-        * math.sin(2 * p.beta_angle)
-        * float(jv(1, p.m_diff))
-        * math.sin(p.dphi_n + p.dphi_dc)
-    )
+    return _ram_amplitude(p, 1) * math.sin(p.dphi_n + p.dphi_dc)
 
 
 def apply_ram(sb: SidebandSet, p: RamParams) -> SidebandSet:

@@ -8,12 +8,12 @@ where g is the plant gain d(error)/d(control) at the operating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, UnstableLoopError
-from .fm import RamParams, ram_mod_depth
+from .fm import RamParams, _ram_amplitude, ram_mod_depth
 
 
 @dataclass
@@ -28,10 +28,12 @@ class PidGains:
     integrator_clamp: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise InvariantViolation("dt must be > 0")
-        if self.output_clamp <= 0 or self.integrator_clamp <= 0:
-            raise InvariantViolation("clamps must be > 0")
+        for name in ("kp", "ki", "kd"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(f"{name} must be finite")
+        for name in ("dt", "output_clamp", "integrator_clamp"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise InvariantViolation(f"{name} must be finite and > 0")
 
 
 @dataclass
@@ -68,7 +70,7 @@ def demod_error(p: RamParams) -> float:
 
 def plant_gain(p: RamParams) -> float:
     """|d error / d dphi_dc| of the linearized plant at the null."""
-    return abs(demod_error(replace(p, dphi_n=math.pi / 2, dphi_dc=0.0)))
+    return abs(_ram_amplitude(p, 1))
 
 
 def pid_step(state: PidState, error: float, gains: PidGains) -> tuple[PidState, float]:
@@ -144,29 +146,32 @@ def run_servo(
 ) -> ServoTrace:
     """Closed- (or open-) loop simulation against a drifting dphi_n(t).
 
-    The recorded error is the demodulated residual-AM signal before the
-    controller acts on it at each step.  Error amplitude growth beyond 10x
-    its initial level over a trailing window raises UnstableLoopError.
+    The recorded error at each step is demod_error at dphi_n = drift and
+    dphi_dc = control, taken before the controller acts on it.  Error
+    amplitude growth beyond 10x its initial level over a trailing window
+    raises UnstableLoopError.
     """
-    if duration <= 10 * gains.dt:
+    if not (duration > 10 * gains.dt):
         raise InvariantViolation("duration must exceed 10 control periods")
     base = ram if ram is not None else RamParams()
     n = int(round(duration / gains.dt))
     t = np.arange(n) * gains.dt
     phi_n = np.asarray(drift(t), dtype=float)
+    if not np.all(np.isfinite(phi_n)):
+        raise InvariantViolation("drift samples must be finite")
 
-    control = np.zeros(n)
-    error = np.zeros(n)
+    amp = _ram_amplitude(base, 1)
+    control, error = [], []
     state = PidState()
     u = 0.0
-    for k in range(n):
-        p = replace(base, dphi_n=float(phi_n[k]), dphi_dc=u)
-        e = demod_error(p)
-        error[k] = e
-        control[k] = u
+    for phi in phi_n.tolist():
+        e = amp * math.sin(phi + u)
+        error.append(e)
+        control.append(u)
         if lock:
             state, du = pid_step(state, e, gains)
             u = min(max(u + du, -gains.output_clamp), gains.output_clamp)
+    control, error = np.array(control), np.array(error)
 
     if lock:
         # Growth beyond 10x the initial error amplitude flags divergence.
@@ -174,7 +179,7 @@ def run_servo(
         # residual so that a healthy loop catching up with a drift that
         # happens to start near a stationary point is not misflagged.
         slew = float(np.max(np.abs(np.diff(phi_n)))) if n > 1 else 0.0
-        full_scale = plant_gain(base)
+        full_scale = abs(amp)
         initial_amp = max(
             float(np.max(np.abs(error[: min(5, n)]))),
             full_scale * min(1.0, 20 * slew),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rydfm.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from rydfm import cli
+from rydfm.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, write_csv
 from rydfm.scenario import ScanOpts
 
 TWO_PI = 2 * math.pi
@@ -182,3 +183,71 @@ class TestDeterminism:
         for file_a in files_a:
             file_b = out_b / file_a.name
             assert file_a.read_bytes() == file_b.read_bytes()
+
+
+def per_value_csv(header, columns, rows):
+    """Oracle: the CSV text built one value at a time."""
+    lines = [f"# {key} = {value}" for key, value in header.items()]
+    lines.append("# columns: " + ",".join(columns))
+    for row in np.atleast_2d(rows):
+        lines.append(",".join(f"{float(x):.12e}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _special_values(n_rows, n_cols):
+    rng = np.random.default_rng(5)
+    values = rng.normal(0.0, 1.0, n_rows * n_cols) * 10.0 ** rng.integers(-300, 300, n_rows * n_cols)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, 0.1, 1.0, -1.0]
+    values[: len(specials)] = specials[: values.size]
+    return values.reshape(n_rows, n_cols)
+
+
+class TestWriteCsv:
+    HEADER = {"config_hash": "abc", "seed": 7}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            _special_values(4, 3),
+            _special_values(1, 5),
+            _special_values(9, 1),
+            _special_values(CSV_BLOCK_ROWS - 1, 2),
+            _special_values(CSV_BLOCK_ROWS, 2),
+            _special_values(CSV_BLOCK_ROWS + 1, 2),
+            _special_values(2 * CSV_BLOCK_ROWS + 3, 4),
+            np.arange(-6, 6, dtype=np.int64).reshape(4, 3),
+            np.array([True, False]),
+            np.linspace(-1.0, 1.0, 7),
+            np.zeros((0, 3)),
+            np.zeros(0),
+        ],
+        ids=["special", "one_row", "one_column", "block_minus_1", "block", "block_plus_1",
+             "two_blocks", "integers", "booleans", "one_d", "no_rows", "empty_1d"],
+    )
+    def test_bytes_match_per_value_oracle(self, rows, tmp_path):
+        columns = [f"c{i}" for i in range(np.atleast_2d(rows).shape[1])]
+        path = tmp_path / "out.csv"
+        write_csv(path, self.HEADER, columns, rows)
+        assert path.read_bytes() == per_value_csv(self.HEADER, columns, rows).encode()
+
+    def test_scalar_format_matches_oracle(self):
+        for x in _special_values(8, 4).ravel():
+            assert cli._fmt(x) == f"{float(x):.12e}"
+
+    def test_failure_part_way_keeps_previous_output(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        write_csv(path, self.HEADER, ["a"], np.arange(3.0))
+        before = path.read_bytes()
+        real_blocks = cli._csv_blocks
+
+        def failing_blocks(table):
+            blocks = real_blocks(table)
+            yield next(blocks)
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "_csv_blocks", failing_blocks)
+        with pytest.raises(RuntimeError):
+            write_csv(path, self.HEADER, ["a"], np.ones((3 * CSV_BLOCK_ROWS, 1)))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

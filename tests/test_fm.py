@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from conftest import asymmetric_medium, bessel_series, symmetric_medium
 from rydfm.errors import (
@@ -191,6 +192,50 @@ class TestRamPhotocurrent:
         t = np.linspace(0, 2 * math.pi / OMEGA_M, 1024, endpoint=False)
         peak = np.max(np.abs(ram_photocurrent(p, 1, OMEGA_M, t)))
         assert peak == pytest.approx(2.0 * bessel_series(1, 0.2), rel=1e-4)
+
+
+class TestRamParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dphi_n", math.nan),
+            ("dphi_n", math.inf),
+            ("dphi_dc", math.inf),
+            ("dphi_dc", math.nan),
+            ("e0_sq", math.nan),
+            ("e0_sq", math.inf),
+            ("e0_sq", -1.0),
+            ("m_diff", math.nan),
+            ("m_diff", -math.inf),
+            ("alpha", math.nan),
+            ("beta_angle", math.nan),
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InvariantViolation):
+            RamParams(**{field: value})
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_amplitude_formula_bitwise(self, n):
+        # the written-out product, evaluated left to right, is the oracle
+        rng = np.random.default_rng(n)
+        t = np.linspace(0, 1e-7, 16)
+        for _ in range(200):
+            alpha, beta_angle = rng.uniform(-1.5, 1.5, 2)
+            m_diff, dphi_n, dphi_dc = rng.uniform(-3.0, 3.0, 3)
+            p = RamParams(alpha=alpha, beta_angle=beta_angle, m_diff=m_diff, dphi_n=dphi_n,
+                          dphi_dc=dphi_dc, e0_sq=rng.uniform(0.0, 5.0))
+            amplitude = (
+                -p.e0_sq
+                * math.sin(2 * p.alpha)
+                * math.sin(2 * p.beta_angle)
+                * float(jv(n, p.m_diff))
+                * math.sin(p.dphi_n + p.dphi_dc)
+            )
+            if n == 1:
+                assert ram_mod_depth(p) == amplitude
+            expected = amplitude * np.sin(n * OMEGA_M * t)
+            assert np.array_equal(ram_photocurrent(p, n, OMEGA_M, t), expected)
 
 
 class TestApplyRam:

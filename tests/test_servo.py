@@ -72,6 +72,25 @@ class TestPidStep:
             pid_step(PidState(), float("nan"), GAINS)
 
 
+class TestPidGains:
+    @pytest.mark.parametrize("field", ["kp", "ki", "kd"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_gains_must_be_finite(self, field, value):
+        with pytest.raises(InvariantViolation):
+            PidGains(**{field: value})
+
+    @pytest.mark.parametrize("field", ["dt", "output_clamp", "integrator_clamp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_positive_finite_fields(self, field, value):
+        with pytest.raises(InvariantViolation):
+            PidGains(**{field: value})
+
+    def test_negative_gains_allowed(self):
+        # a sign flip of the plant is compensated by negative gains
+        gains = PidGains(kp=-1.0, ki=-0.5, kd=-0.1)
+        assert (gains.kp, gains.ki, gains.kd) == (-1.0, -0.5, -0.1)
+
+
 class TestSingleLoopDynamics:
     def test_p_only_geometric_ratio(self):
         # difference equation e_{k+1} = (1 - kp g) e_k for the
@@ -169,6 +188,60 @@ class TestServoRuns:
         locked_offset = abs(demodulate(apply_ram(sb, locked_p), math.pi / 2))
         unlocked_offset = abs(demodulate(apply_ram(sb, unlocked_p), math.pi / 2))
         assert locked_offset < 1e-3 * unlocked_offset
+
+
+def stepwise_servo(drift, gains, duration, ram, lock):
+    """Oracle: rebuild RamParams and call demod_error on every step."""
+    n = int(round(duration / gains.dt))
+    phi_n = np.asarray(drift(np.arange(n) * gains.dt), dtype=float)
+    control = np.zeros(n)
+    error = np.zeros(n)
+    state = PidState()
+    u = 0.0
+    for k in range(n):
+        e = demod_error(replace(ram, dphi_n=float(phi_n[k]), dphi_dc=u))
+        error[k] = e
+        control[k] = u
+        if lock:
+            state, du = pid_step(state, e, gains)
+            u = min(max(u + du, -gains.output_clamp), gains.output_clamp)
+    return control, error
+
+
+def assert_bitwise(actual, expected):
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestRunServoOracle:
+    @pytest.mark.parametrize("lock", [True, False])
+    @pytest.mark.parametrize(
+        "drift",
+        [
+            constant_drift(0.2),
+            constant_drift(-0.0),
+            sinusoid_drift(0.3, 0.5),
+            random_walk_drift(2e-3, seed=21),
+        ],
+        ids=["constant", "negative_zero", "sinusoid", "random_walk"],
+    )
+    def test_matches_stepwise_loop(self, drift, lock):
+        ram = replace(RAM, dphi_n=0.7, dphi_dc=-0.3)  # ignored by run_servo
+        trace = run_servo(drift, GAINS, 2.0, ram=ram, lock=lock)
+        control, error = stepwise_servo(drift, GAINS, 2.0, ram, lock)
+        assert_bitwise(trace.error, error)
+        assert_bitwise(trace.dphi_dc, control)
+
+    @pytest.mark.parametrize("lock", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_drift(self, bad, lock):
+        def drift(t):
+            phi = np.zeros_like(t)
+            phi[t.size // 2] = bad
+            return phi
+
+        with pytest.raises(InvariantViolation):
+            run_servo(drift, GAINS, 0.1, ram=RAM, lock=lock)
 
 
 class TestZieglerNichols:
