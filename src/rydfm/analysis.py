@@ -311,8 +311,11 @@ def sensitivity_estimate(
     The responsivity is the numerical derivative of the demodulated signal
     photocurrent with respect to the RF field at the operating point,
     obtained by a central difference with step halving until 1%
-    convergence.  The noise floor defaults to the shot-noise current
-    density of the detected DC power; e_min = noise_floor / responsivity.
+    convergence.  A difference at the rounding level of the DC signal at
+    the operating point raises ZeroResponsivityError, and no convergence in
+    12 halvings raises NonConvergenceError.  The noise floor defaults to the
+    shot-noise current density of the detected DC power; e_min =
+    noise_floor / responsivity.
     """
     if e_operating <= 0:
         raise InvariantViolation("e_operating must be > 0")
@@ -330,25 +333,31 @@ def sensitivity_estimate(
         )
         return responsivity_pd * signal_power * rel, dc_rel
 
+    _, dc_rel = signal_current(e_operating)
+    # a few ulps of the DC signal: below this a difference is rounding noise
+    rounding = 8 * np.finfo(float).eps * responsivity_pd * signal_power * dc_rel
     step = e_operating / 4
     previous = None
-    derivative = None
     for _ in range(12):
         hi, _ = signal_current(e_operating + step)
         lo, _ = signal_current(e_operating - step)
+        if not (abs(hi - lo) > rounding):
+            raise ZeroResponsivityError(
+                f"signal derivative vanished at E = {e_operating:g} V/m: the difference "
+                f"{hi - lo:.3g} A is at the rounding level of the DC signal"
+            )
         derivative = (hi - lo) / (2 * step)
         if previous is not None and abs(derivative - previous) <= 0.01 * abs(derivative):
             break
         previous = derivative
         step /= 2
-    responsivity = abs(derivative)
-    if responsivity <= 0 or not math.isfinite(responsivity):
-        raise ZeroResponsivityError(
-            f"signal derivative vanished at E = {e_operating:g} V/m"
+    else:
+        raise NonConvergenceError(
+            f"signal derivative did not converge to 1% in 12 step halvings at E = {e_operating:g} V/m"
         )
+    responsivity = abs(derivative)
 
     if noise_floor is None:
-        _, dc_rel = signal_current(e_operating)
         dc_current = responsivity_pd * detector.power_w * dc_rel
         noise_floor = math.sqrt(2 * E_CHARGE * dc_current)
 

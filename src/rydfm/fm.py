@@ -2,12 +2,14 @@
 
 The modulated field is written as a sideband sum E(t) = sum_n a_n
 exp(i (omega_0 + n omega_m) t) with pre-propagation amplitudes
-a_n = J_n(beta).  The detected photocurrent is |sum_n a_n exp(i n omega_m
-t)|^2, synthesized in the time domain over one exact modulation period and
-mixed with cos(omega_m t + theta).  The demodulated output is twice the
-period average, i.e. the amplitude of the omega_m Fourier component
-projected on the LO, so an intensity modulation (1 + m sin omega_m t)
-demodulates to -m sin(theta).
+a_n = J_n(beta) on consecutive orders n.  The detected photocurrent
+|sum_n a_n exp(i n omega_m t)|^2 has the omega_m Fourier coefficient
+c_1 = sum_n a_(n+1) conj(a_n), the beat of neighbouring sidebands.  The
+lock-in mixes the photocurrent with cos(omega_m t + theta) and reports
+twice the period average, which is exactly 2 Re(exp(-i theta) c_1), so an
+intensity modulation (1 + m sin omega_m t) demodulates to -m sin(theta).
+The DC power is sum_n |a_n|^2.  Amplitude arrays may carry leading axes
+(one row per carrier); the orders run along the last axis.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .errors import (
 from .spectroscopy import MediumSpectrum
 
 BESSEL_CLOSURE_TOL = 1e-9
-DEMOD_SAMPLES = 256
 
 
 def bessel_closure(beta: float, n_max: int) -> float:
@@ -95,7 +96,11 @@ class RamParams:
 
 @dataclass
 class SidebandSet:
-    """Complex sideband amplitudes on orders -n_max..n_max."""
+    """Complex sideband amplitudes on consecutive ascending orders.
+
+    `amps` holds the orders along its last axis; a propagated set has one
+    row per carrier detuning.
+    """
 
     orders: np.ndarray
     amps: np.ndarray
@@ -104,12 +109,10 @@ class SidebandSet:
     def __post_init__(self) -> None:
         self.orders = np.asarray(self.orders, dtype=int)
         self.amps = np.asarray(self.amps, dtype=complex)
-        if self.orders.size != self.amps.size:
+        if self.amps.shape[-1:] != self.orders.shape:
             raise InvariantViolation("orders and amplitudes differ in length")
-
-    @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        if not np.all(np.diff(self.orders) == 1):
+            raise InvariantViolation("sideband orders must be consecutive ascending integers")
 
     def amplitude(self, order: int) -> complex:
         idx = np.nonzero(self.orders == order)[0]
@@ -130,19 +133,20 @@ def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> Sideband
 def propagate(
     sb: SidebandSet,
     spec: MediumSpectrum,
-    carrier_detuning: float,
+    carrier_detuning,
     omega_m: float | None = None,
 ) -> SidebandSet:
     """Apply the medium response t exp(i phi) to each spectral component.
 
-    Each order n samples the medium at carrier_detuning + n * omega_m with
-    linear interpolation on the scanned grid; a sample outside the grid
-    raises OutOfGridError.
+    `carrier_detuning` is a scalar or an array of carriers; the result has
+    one row of amplitudes per carrier.  Each order n samples the medium at
+    carrier_detuning + n * omega_m with linear interpolation on the scanned
+    grid; a sample of any carrier outside the grid raises OutOfGridError.
     """
     w_m = omega_m if omega_m is not None else sb.omega_m
     if w_m is None:
         raise InvariantViolation("omega_m needed: set it on the SidebandSet or pass it")
-    detunings = carrier_detuning + sb.orders * w_m
+    detunings = np.add.outer(carrier_detuning, sb.orders * w_m)
     lo, hi = spec.grid[0], spec.grid[-1]
     if detunings.min() < lo or detunings.max() > hi:
         raise OutOfGridError(
@@ -154,27 +158,21 @@ def propagate(
     return SidebandSet(orders=sb.orders, amps=sb.amps * t * np.exp(1j * phi), omega_m=w_m)
 
 
-def photocurrent_samples(sb: SidebandSet, n_time: int = DEMOD_SAMPLES) -> np.ndarray:
-    """|E(t)|^2 over one modulation period at n_time uniform samples."""
-    theta = 2 * np.pi * np.arange(n_time) / n_time
-    field = np.exp(1j * np.outer(theta, sb.orders)) @ sb.amps
-    return np.abs(field) ** 2
+def demodulate(sb: SidebandSet, lo_phase: float) -> float | np.ndarray:
+    """Lock-in output at omega_m for the given LO phase, per carrier row.
 
-
-def demodulate(sb: SidebandSet, lo_phase: float, n_time: int = DEMOD_SAMPLES) -> float:
-    """Lock-in output at omega_m for the given LO phase.
-
-    Twice the one-period average of photocurrent * cos(omega_m t +
-    lo_phase); exact for band-limited sets with n_max < n_time / 4.
+    The closed form 2 Re(exp(-i lo_phase) sum_n a_(n+1) conj(a_n)) of twice
+    the one-period average of photocurrent * cos(omega_m t + lo_phase).
     """
-    theta = 2 * np.pi * np.arange(n_time) / n_time
-    current = photocurrent_samples(sb, n_time)
-    return float(2.0 * np.mean(current * np.cos(theta + lo_phase)))
+    beat = np.sum(sb.amps[..., 1:] * np.conj(sb.amps[..., :-1]), axis=-1)
+    out = 2.0 * (np.exp(-1j * lo_phase) * beat).real
+    return float(out) if out.ndim == 0 else out
 
 
-def dc_power(sb: SidebandSet, n_time: int = DEMOD_SAMPLES) -> float:
-    """Period-averaged detected power; equals sum |a_n|^2."""
-    return float(np.mean(photocurrent_samples(sb, n_time)))
+def dc_power(sb: SidebandSet) -> float | np.ndarray:
+    """Period-averaged detected power sum_n |a_n|^2, per carrier row."""
+    out = np.sum(np.abs(sb.amps) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | float:

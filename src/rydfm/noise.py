@@ -9,6 +9,7 @@ convention sigma_y^2(tau) = h0 / (2 tau).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.dt <= 0:
-            raise InvariantViolation("dt must be > 0")
+        if not (0 < self.dt < math.inf):
+            raise InvariantViolation("dt must be finite and > 0")
         if self.values.size < 2:
             raise InvariantViolation("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.values)):
@@ -65,8 +66,8 @@ class NoiseBudget:
 
     def __post_init__(self) -> None:
         for kind in SPECTRAL_SLOPES:
-            if getattr(self, kind) < 0:
-                raise InvariantViolation(f"coefficient {kind} must be >= 0")
+            if not (0 <= getattr(self, kind) < math.inf):
+                raise InvariantViolation(f"coefficient {kind} must be finite and >= 0")
 
     def items(self):
         return [(kind, getattr(self, kind)) for kind in SPECTRAL_SLOPES]

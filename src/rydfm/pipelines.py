@@ -9,7 +9,7 @@ from .constants import HBAR
 from .fm import (
     FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, propagate, sidebands,
 )
-from .quantum import FieldDrive, LadderSystem, susceptibility_batch
+from .quantum import CHUNK, FieldDrive, LadderSystem, susceptibility_batch
 from .spectroscopy import AtResult, MediumSpectrum, at_splitting, scan_probe
 
 
@@ -50,14 +50,7 @@ def fm_response(
 ) -> tuple[float, float]:
     """Demodulated FM signal and relative DC power at one carrier detuning."""
     spec = sideband_spectrum(sys, drive, cfg, carrier_detuning)
-    return _fm_signal(cfg, _sideband_set(cfg, ram), spec, carrier_detuning, lo_phase)
-
-
-def _fm_signal(
-    cfg: FmConfig, sb: SidebandSet, spec: MediumSpectrum, carrier_detuning: float, lo_phase
-) -> tuple[float, float]:
-    """Demodulated signal (at `cfg.lo_phase` unless given) and relative DC power."""
-    prop = propagate(sb, spec, carrier_detuning)
+    prop = propagate(_sideband_set(cfg, ram), spec, carrier_detuning)
     return demodulate(prop, cfg.lo_phase if lo_phase is None else lo_phase), dc_power(prop)
 
 
@@ -73,10 +66,12 @@ def fm_probe_scan(
 
     The medium is evaluated once on the carrier grid extended by
     n_max * omega_m on both sides with the same step; sidebands then sample
-    it by linear interpolation.
+    it by linear interpolation.  Carriers are propagated and demodulated in
+    blocks of `CHUNK`, which bounds the memory of the amplitude stacks.
     """
     carrier_grid = np.asarray(carrier_grid, dtype=float)
-    step = float(np.median(np.diff(carrier_grid)))
+    # a single carrier has no grid step: sample the medium at the sideband spacing
+    step = float(np.median(np.diff(carrier_grid))) if carrier_grid.size > 1 else cfg.omega_m
     pad = int(np.ceil(cfg.n_max * cfg.omega_m / step)) + 1
     extended = np.concatenate([
         carrier_grid[0] + step * np.arange(-pad, 0),
@@ -87,10 +82,11 @@ def fm_probe_scan(
     sb = _sideband_set(cfg, ram)
     inphase = np.empty(carrier_grid.size)
     quadrature = np.empty(carrier_grid.size)
-    for i, d in enumerate(carrier_grid):
-        prop = propagate(sb, spec, float(d))
-        inphase[i] = demodulate(prop, 0.0)
-        quadrature[i] = demodulate(prop, np.pi / 2)
+    for start in range(0, carrier_grid.size, CHUNK):
+        block = slice(start, start + CHUNK)
+        prop = propagate(sb, spec, carrier_grid[block])
+        inphase[block] = demodulate(prop, 0.0)
+        quadrature[block] = demodulate(prop, np.pi / 2)
     return inphase, quadrature
 
 
@@ -105,17 +101,16 @@ def rf_detuning_scan(
     """Demodulated FM signal versus RF detuning at a fixed probe carrier.
 
     The sideband detunings of every RF detuning are solved in one batched
-    call.
+    call, and each row of the medium response is applied to its own copy of
+    the sidebands, so all rows are demodulated at once.
     """
-    carrier = drive.delta_p
-    grid = _sideband_grid(cfg, carrier)
+    grid = _sideband_grid(cfg, drive.delta_p)
     rf = np.asarray(rf_grid, dtype=float)
     chi = susceptibility_batch(sys, drive, grid[None, :], rf[:, None])
+    spec = MediumSpectrum.from_chi(sys, grid, chi)
     sb = _sideband_set(cfg, None)
-    return np.array([
-        _fm_signal(cfg, sb, MediumSpectrum.from_chi(sys, grid, row), carrier, lo_phase)[0]
-        for row in chi
-    ])
+    prop = SidebandSet(sb.orders, sb.amps * spec.amp_transmission * np.exp(1j * spec.phase))
+    return demodulate(prop, cfg.lo_phase if lo_phase is None else lo_phase)
 
 
 def at_calibration(

@@ -15,10 +15,11 @@ from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 class MediumSpectrum:
     """Complex susceptibility and single-pass response on a detuning grid.
 
-    `grid` holds probe detunings in rad/s, strictly increasing.
-    `amp_transmission` is the field-amplitude transmission t(Delta); the
-    power transmission is t**2.  `phase` is the single-pass phase shift in
-    radians.
+    `grid` holds probe detunings in rad/s, strictly increasing; the other
+    arrays run over it along their last axis, with one row per spectrum
+    when several share the grid.  `amp_transmission` is the field-amplitude
+    transmission t(Delta); the power transmission is t**2.  `phase` is the
+    single-pass phase shift in radians.
     """
 
     grid: np.ndarray
@@ -34,7 +35,8 @@ class MediumSpectrum:
         n = self.grid.size
         if n == 0:
             raise InvariantViolation("spectrum grid is empty")
-        if not (self.chi.size == self.amp_transmission.size == self.phase.size == n):
+        if not (self.chi.shape == self.amp_transmission.shape == self.phase.shape
+                and self.chi.shape[-1:] == (n,)):
             raise InvariantViolation("spectrum arrays have unequal lengths")
         if not all(np.all(np.isfinite(a)) for a in (self.grid, self.chi, self.phase)):
             raise InvariantViolation("spectrum grid, chi and phase must be finite")

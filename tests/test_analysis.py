@@ -16,15 +16,18 @@ from rydfm.analysis import (
     projection_limit,
     sensitivity_estimate,
 )
-from rydfm.constants import A0, E_CHARGE
+from rydfm.constants import A0, E_CHARGE, HBAR
 from rydfm.errors import (
     DomainError,
     InsufficientDataError,
     InvariantViolation,
     KernelTooNarrowError,
+    NonConvergenceError,
+    ZeroResponsivityError,
 )
 from rydfm.fm import FmConfig
 from rydfm.noise import TimeSeries, gen_powerlaw
+from rydfm import pipelines
 from rydfm.pipelines import drive_at_field, rf_detuning_scan
 from rydfm.quantum import FieldDrive
 
@@ -298,6 +301,46 @@ class TestSensitivity:
         assert report.projection_limit_value == pytest.approx(
             projection_limit(sys.mu_rf, det.n_participating, 1 / sys.gamma_deph)
         )
+
+    @staticmethod
+    def fake_response(monkeypatch, signal_of_field):
+        """Replace fm_response by signal_of_field(E) at DC 0.5; return the call log."""
+        calls = []
+
+        def fm_response(sys, drive, cfg, carrier_detuning):
+            e_rf = drive.omega_rf * HBAR / sys.mu_rf
+            calls.append(e_rf)
+            return signal_of_field(e_rf), 0.5
+
+        monkeypatch.setattr(pipelines, "fm_response", fm_response)
+        return calls
+
+    def test_converges_in_five_responses(self, fast_setup, monkeypatch):
+        # the operating point once, then two central differences
+        calls = self.fake_response(monkeypatch, lambda e: 1e-3 * e + 2e-2 * e ** 2)
+        sys, drive, cfg, det = fast_setup
+        report = sensitivity_estimate(sys, drive, cfg, det, 0.02)
+        assert len(calls) == 5
+        scale = det.responsivity_a_per_w(sys.lambda_probe) * det.power_w * det.signal_fraction
+        assert report.responsivity == pytest.approx(scale * (1e-3 + 4e-2 * 0.02), rel=1e-9)
+
+    def test_rounding_level_difference_vanishes(self, fast_setup, monkeypatch):
+        # a difference of a few ulps of the DC signal is not a slope
+        noise = iter([1e-18, -1e-18] * 12)
+        calls = self.fake_response(monkeypatch, lambda e: next(noise))
+        with pytest.raises(ZeroResponsivityError, match="derivative vanished"):
+            sensitivity_estimate(*fast_setup, 0.02)
+        assert len(calls) == 3
+
+    def test_unconverged_difference_raises(self, fast_setup, monkeypatch):
+        # a square-root cusp at the operating point: every halving moves the
+        # central difference by sqrt(2)
+        calls = self.fake_response(
+            monkeypatch, lambda e: math.copysign(math.sqrt(abs(e - 0.02)), e - 0.02)
+        )
+        with pytest.raises(NonConvergenceError, match="12 step halvings"):
+            sensitivity_estimate(*fast_setup, 0.02)
+        assert len(calls) == 1 + 2 * 12
 
     def test_detector_validation(self):
         with pytest.raises(InvariantViolation):

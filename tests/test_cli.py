@@ -129,6 +129,14 @@ class TestOutputs:
         lines = body_of(out / "allan_classification.csv")
         assert all(len(line.split(",")) == 5 for line in lines)
 
+    def test_single_carrier_fmscan(self, cold_config, tmp_path):
+        # a step wider than the span leaves one carrier and no grid step
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(cold_config.read_text().replace("step_hz = 0.5e6", "step_hz = 30e6"))
+        out = tmp_path / "out"
+        assert main(["fmscan", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert len(body_of(out / "fm_spectrum.csv")) == 1
+
     def test_manifest_lists_outputs(self, cold_config, tmp_path):
         out = tmp_path / "out"
         main(["scan", "--config", str(cold_config), "--out", str(out)])

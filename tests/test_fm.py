@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import jv
 
 from conftest import asymmetric_medium, bessel_series, symmetric_medium
@@ -12,7 +14,6 @@ from rydfm.errors import (
     TruncationError,
 )
 from rydfm.fm import (
-    DEMOD_SAMPLES,
     FmConfig,
     RamParams,
     SidebandSet,
@@ -26,9 +27,24 @@ from rydfm.fm import (
     ram_photocurrent,
     sidebands,
 )
+from rydfm.pipelines import drive_at_field, fm_probe_scan, rf_detuning_scan, sideband_spectrum
+from rydfm.quantum import CHUNK
 
 TWO_PI = 2 * math.pi
 OMEGA_M = TWO_PI * 10e6
+
+
+def time_domain_lockin(sb, lo_phase, n_time=256):
+    """Lock-in output and DC power from |E(t)|^2 sampled over one period.
+
+    Independent oracle for the closed forms: twice the period average of
+    photocurrent * cos(omega_m t + lo_phase), and the period average of the
+    photocurrent, for each carrier row.  Exact while n_time > 4 n_max.
+    """
+    theta = 2 * np.pi * np.arange(n_time) / n_time
+    field = np.atleast_2d(sb.amps) @ np.exp(1j * np.outer(sb.orders, theta))
+    current = np.abs(field) ** 2
+    return 2.0 * np.mean(current * np.cos(theta + lo_phase), axis=-1), np.mean(current, axis=-1)
 
 
 def first_order_signal(spec, carrier, beta, lo_phase):
@@ -62,13 +78,19 @@ class TestSidebands:
 
     def test_closure_across_indices(self):
         for beta in (0.1, 0.5, 1.0, 2.0):
-            assert sidebands(beta, 8).total_power == pytest.approx(1.0, abs=1e-9)
+            assert dc_power(sidebands(beta, 8)) == pytest.approx(1.0, abs=1e-9)
 
     def test_truncation_error(self):
         with pytest.raises(TruncationError):
             sidebands(2.0, 1)
         with pytest.raises(TruncationError):
             FmConfig(beta=2.0, n_max=1)
+
+    @pytest.mark.parametrize("orders", [[-1, 1, 2], [1, 0, -1], [0, 0, 1]])
+    def test_non_consecutive_orders_rejected(self, orders):
+        # the lock-in beat pairs each order with its neighbour
+        with pytest.raises(InvariantViolation, match="consecutive"):
+            SidebandSet(orders=orders, amps=np.ones(np.shape(orders)[-1]))
 
     def test_closure_helper(self):
         assert bessel_closure(0.7, 8) == pytest.approx(1.0, abs=1e-12)
@@ -108,6 +130,26 @@ class TestPropagate:
         sb = sidebands(0.7, 8, omega_m=OMEGA_M)
         with pytest.raises(OutOfGridError):
             propagate(sb, spec, 0.0)  # order 8 lands at 80 MHz
+
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_out_of_grid_at_one_edge_carrier(self, edge):
+        # only the first or only the last carrier's outer sideband leaves
+        # the +-120 MHz grid
+        spec = symmetric_medium()
+        sb = sidebands(0.7, 8, omega_m=OMEGA_M)
+        carriers = TWO_PI * np.linspace(-35e6, 35e6, 2 * CHUNK + 1)
+        carriers[edge] = TWO_PI * 45e6 * np.sign(carriers[edge])
+        with pytest.raises(OutOfGridError):
+            propagate(sb, spec, carriers)
+        assert propagate(sb, spec, np.delete(carriers, edge)).amps.shape == (2 * CHUNK, 17)
+
+    def test_carrier_array_rows_match_scalar_calls(self):
+        spec = asymmetric_medium()
+        sb = apply_ram(sidebands(0.7, 8, omega_m=OMEGA_M), RamParams(dphi_n=0.3))
+        carriers = TWO_PI * np.linspace(-30e6, 30e6, 7)
+        rows = propagate(sb, spec, carriers).amps
+        for row, carrier in zip(rows, carriers):
+            assert np.array_equal(row, propagate(sb, spec, float(carrier)).amps)
 
     def test_needs_omega_m(self):
         sb = sidebands(0.1, 2)
@@ -153,7 +195,56 @@ class TestDemodulate:
     def test_dc_power_matches_amplitude_sum(self):
         spec = asymmetric_medium()
         sb = propagate(sidebands(0.7, 8, omega_m=OMEGA_M), spec, TWO_PI * 3e6)
-        assert dc_power(sb) == pytest.approx(sb.total_power, abs=1e-9)
+        assert dc_power(sb) == pytest.approx(np.sum(np.abs(sb.amps) ** 2), abs=1e-15)
+        assert dc_power(sb) == pytest.approx(time_domain_lockin(sb, 0.0)[1][0], abs=1e-13)
+
+    @pytest.mark.parametrize("ram", [None, RamParams(dphi_n=0.3), RamParams(m_diff=0.4, dphi_n=-1.1)])
+    @pytest.mark.parametrize("beta", [0.05, 0.7, 2.0])
+    def test_closed_form_matches_time_domain_lockin(self, ram, beta):
+        sb = sidebands(beta, 8, omega_m=OMEGA_M)
+        sb = sb if ram is None else apply_ram(sb, ram)
+        carriers = TWO_PI * np.linspace(-35e6, 35e6, 9)
+        for spec in (symmetric_medium(), asymmetric_medium()):
+            prop = propagate(sb, spec, carriers)
+            for s in (sb, prop):
+                for theta in np.linspace(-math.pi, math.pi, 7):
+                    signal, dc = time_domain_lockin(s, theta)
+                    assert np.all(np.abs(demodulate(s, theta) - signal) <= 1e-13 * dc)
+                    assert np.all(np.abs(dc_power(s) - dc) <= 1e-13 * dc)
+
+    def test_closed_form_has_no_band_limit(self):
+        # orders up to 80 are beyond a 256-sample lock-in (n_max < 64);
+        # a 1024-sample one still resolves them
+        spec = asymmetric_medium(span=TWO_PI * 1e9, n=20001)
+        sb = propagate(sidebands(40.0, 80, omega_m=OMEGA_M), spec, TWO_PI * np.array([-5e6, 2e6]))
+        for theta in (0.0, 0.4, math.pi / 2):
+            signal, dc = time_domain_lockin(sb, theta, n_time=1024)
+            assert np.all(np.abs(demodulate(sb, theta) - signal) <= 1e-13 * dc)
+            assert np.all(np.abs(dc_power(sb) - dc) <= 1e-13 * dc)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        beta=st.floats(0.0, 2.5),
+        n_max=st.integers(1, 8),
+        alpha=st.floats(-1.5, 1.5),
+        beta_angle=st.floats(-1.5, 1.5),
+        m_diff=st.floats(-3.0, 3.0),
+        dphi=st.floats(-math.pi, math.pi),
+        lo_phase=st.floats(-10.0, 10.0),
+        carrier=st.floats(-35e6, 35e6),
+    )
+    def test_closed_form_property(self, beta, n_max, alpha, beta_angle, m_diff, dphi, lo_phase,
+                                  carrier):
+        # closed-form and time-domain lock-ins agree on any set the
+        # modulator and RAM model produce, before and after the medium
+        assume(bessel_closure(beta, n_max) >= 1 - 1e-9)
+        sb = sidebands(beta, n_max, omega_m=OMEGA_M)
+        ram = RamParams(alpha=alpha, beta_angle=beta_angle, m_diff=m_diff, dphi_n=dphi)
+        sb = apply_ram(sb, ram)
+        for s in (sb, propagate(sb, asymmetric_medium(), TWO_PI * carrier)):
+            signal, dc = time_domain_lockin(s, lo_phase)
+            assert abs(demodulate(s, lo_phase) - signal[0]) <= 1e-13 * dc[0]
+            assert abs(dc_power(s) - dc[0]) <= 1e-13 * dc[0]
 
     def test_slope_peaks_at_interior_index(self):
         # on-resonance quadrature slope rises then falls with beta
@@ -168,6 +259,51 @@ class TestDemodulate:
             slopes.append(abs(hi - lo) / (2 * d))
         best = int(np.argmax(slopes))
         assert 0 < best < len(betas) - 1
+
+
+class TestFmProbeScan:
+    @pytest.mark.parametrize("n_carriers", [1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("ram", [None, RamParams(dphi_n=0.3)])
+    def test_matches_per_carrier_lockin(self, cold_system, default_drive, monkeypatch, n_carriers, ram):
+        # the blocked scan against one propagate and one time-domain
+        # lock-in per carrier on the very spectrum the scan sampled
+        import rydfm.pipelines as pipelines
+
+        seen = []
+        real_scan_probe = pipelines.scan_probe
+
+        def recording_scan_probe(*args):
+            seen.append(real_scan_probe(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pipelines, "scan_probe", recording_scan_probe)
+        cfg = FmConfig(n_max=6)
+        carriers = TWO_PI * np.linspace(-12e6, 9e6, n_carriers)
+        inphase, quadrature = fm_probe_scan(cold_system, default_drive, cfg, carriers, ram=ram)
+        sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+        sb = sb if ram is None else apply_ram(sb, ram)
+        for i, carrier in enumerate(carriers):
+            prop = propagate(sb, seen[0], float(carrier))
+            in_ref, dc = time_domain_lockin(prop, 0.0)
+            quad_ref, _ = time_domain_lockin(prop, math.pi / 2)
+            assert abs(inphase[i] - in_ref[0]) <= 1e-13 * dc[0]
+            assert abs(quadrature[i] - quad_ref[0]) <= 1e-13 * dc[0]
+
+
+class TestRfDetuningScan:
+    def test_matches_per_row_lockin(self, cold_system, default_drive):
+        # every RF row at once against one exact sideband spectrum, one
+        # propagation and one time-domain lock-in per RF detuning
+        cfg = FmConfig(n_max=6)
+        rf_grid = TWO_PI * np.linspace(-6e6, 6e6, CHUNK + 1)
+        dressed = drive_at_field(cold_system, default_drive, 0.05)
+        signal = rf_detuning_scan(cold_system, dressed, cfg, rf_grid)
+        sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+        for value, delta_rf in zip(signal, rf_grid):
+            drive = replace(dressed, delta_rf=delta_rf)
+            spec = sideband_spectrum(cold_system, drive, cfg, drive.delta_p)
+            ref, dc = time_domain_lockin(propagate(sb, spec, drive.delta_p), cfg.lo_phase)
+            assert abs(value - ref[0]) <= 1e-13 * dc[0]
 
 
 class TestRamPhotocurrent:
@@ -288,6 +424,3 @@ class TestFmConfig:
         with pytest.raises(InvariantViolation):
             FmConfig(n_max=0)
 
-    def test_demod_band_limit(self):
-        # 256 samples resolve every harmonic pair up to 2 * n_max
-        assert DEMOD_SAMPLES >= 4 * 8

@@ -81,6 +81,12 @@ class TestComposite:
         with pytest.raises(InvariantViolation):
             NoiseBudget(white_fm=-1.0)
 
+    @pytest.mark.parametrize("kind", sorted(SPECTRAL_SLOPES))
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_coefficient_rejected(self, kind, value):
+        with pytest.raises(InvariantViolation, match=kind):
+            NoiseBudget(**{kind: value})
+
 
 class TestShotNoise:
     def test_zero_current_constant(self):
@@ -131,6 +137,11 @@ class TestTimeSeries:
             TimeSeries(dt=1.0, values=np.array([1.0]), seed=0, kind="shot")
         with pytest.raises(InvariantViolation):
             TimeSeries(dt=1.0, values=np.array([1.0, np.inf]), seed=0, kind="shot")
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -1.0])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(InvariantViolation, match="dt"):
+            TimeSeries(dt=dt, values=[1.0, 2.0], seed=0, kind="shot")
 
     def test_time_axis(self):
         ts = TimeSeries(dt=0.5, values=np.zeros(4), seed=0, kind="shot")
