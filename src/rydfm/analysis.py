@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .constants import C_LIGHT, E_CHARGE, H_PLANCK
 from .errors import (
@@ -262,6 +261,8 @@ def _lorentz_model(nu, amplitude, sigma, nu_c, offset):
 
 def lorentzian_fit(freqs: np.ndarray, values: np.ndarray) -> tuple[LorentzParams, float]:
     """Least-squares Lorentzian fit; returns parameters and rms residual."""
+    from scipy.optimize import curve_fit  # ~0.7 s to import, so only when fitting
+
     freqs = np.asarray(freqs, dtype=float)
     values = np.asarray(values, dtype=float)
     if freqs.size < 10:

@@ -8,7 +8,8 @@ lines carrying the config hash and seed; numeric bodies are byte-identical
 across reruns of the same configuration.  The output directory resolves
 as --out, then $RYDFM_OUT, then the scenario [output] dir.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure, 4 I/O.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
+an arithmetic overflow or a failed linear solve), 4 I/O.
 """
 from __future__ import annotations
 
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

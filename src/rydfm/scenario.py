@@ -24,7 +24,8 @@ from .quantum import FieldDrive, LadderSystem
 from .servo import PidGains
 
 _TWO_PI = 2 * math.pi
-# Largest probe or field grid a scenario may request (bounds the work per run).
+# Largest probe or field grid, or servo step count, a scenario may request
+# (bounds the work per run).
 MAX_GRID_POINTS = 10 ** 6
 
 
@@ -365,6 +366,11 @@ def parse_scenario(text: str) -> Scenario:
 
     servo_kwargs = pick("ram", {k: k for k in _SERVO_KEYS})
     servo_opts = build(ServoOpts, servo_kwargs, "ram")
+    steps = servo_opts.duration_s / gains.dt
+    if not (math.isfinite(steps) and round(steps) <= MAX_GRID_POINTS):
+        raise InvariantViolation(
+            f"[ram] servo run would take {steps:.3g} steps; the limit is {MAX_GRID_POINTS}"
+        )
 
     budget_kwargs = pick("noise", dict(zip(("h_white_pm", "h_flicker_pm", "h_white_fm", "h_rw_fm"),
                                            _BUDGET_KEYS)))

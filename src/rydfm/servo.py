@@ -161,17 +161,24 @@ def run_servo(
         raise InvariantViolation("drift samples must be finite")
 
     amp = _ram_amplitude(base, 1)
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    i_clamp, u_clamp = gains.integrator_clamp, gains.output_clamp
     control, error = [], []
-    state = PidState()
+    # pid_step's arithmetic, inlined: the state is `integral` and `prev`
+    integral, prev = 0.0, None
     u = 0.0
     for phi in phi_n.tolist():
         e = amp * math.sin(phi + u)
         error.append(e)
         control.append(u)
         if lock:
-            state, du = pid_step(state, e, gains)
-            u = min(max(u + du, -gains.output_clamp), gains.output_clamp)
+            integral = min(max(integral + e, -i_clamp), i_clamp)
+            derivative = 0.0 if prev is None else e - prev
+            prev = e
+            u = min(max(u + (kp * e + ki * integral + kd * derivative), -u_clamp), u_clamp)
     control, error = np.array(control), np.array(error)
+    if not np.all(np.isfinite(error)):
+        raise InvariantViolation("error must be finite")
 
     if lock:
         # Growth beyond 10x the initial error amplitude flags divergence.

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 from .constants import C_LIGHT, EPS0, HBAR, H_PLANCK
 from .errors import DomainError, InvariantViolation
@@ -108,6 +107,68 @@ def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(x[i] + shift * step)
 
 
+def _local_maxima(t: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of `t`, by the rules of scipy's find_peaks.
+
+    A maximum is a run of equal samples whose neighbours on both sides are
+    lower, so neither end of the array can hold one; a run longer than one
+    sample is reported at its middle index, rounded down.
+    """
+    d = np.diff(t)
+    steps = np.flatnonzero(d)
+    rising = d[steps] > 0
+    peak = rising[:-1] & ~rising[1:]
+    return (steps[:-1][peak] + 1 + steps[1:][peak]) // 2
+
+
+def _prominence(t: np.ndarray, p: int) -> float:
+    """Prominence of the maximum at `p`.
+
+    On each side take the lowest sample between `p` and the nearest
+    strictly higher sample (or the array end); the prominence is t[p] less
+    the higher of the two.
+    """
+    higher = np.flatnonzero(t > t[p])
+    k = np.searchsorted(higher, p)
+    lo = higher[k - 1] + 1 if k > 0 else 0
+    hi = higher[k] if k < higher.size else t.size
+    return t[p] - max(t[lo:p + 1].min(), t[p:hi].min())
+
+
+def _half_width(t: np.ndarray, p: int, prominence: float) -> float:
+    """Width in samples at half prominence, between linearly interpolated crossings.
+
+    Each crossing lies between `p` and that side's lowest sample, which is
+    at or below the half-prominence level.
+    """
+    height = t[p] - prominence * 0.5
+    i = np.flatnonzero(t[:p + 1] <= height)[-1]
+    left = i + (height - t[i]) / (t[i + 1] - t[i]) if t[i] < height else float(i)
+    i = p + np.flatnonzero(t[p:] <= height)[0]
+    right = i - (height - t[i]) / (t[i - 1] - t[i]) if t[i] < height else float(i)
+    return right - left
+
+
+def _doublet_peaks(t: np.ndarray, min_prominence: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two highest maxima of `t` with prominence >= `min_prominence`.
+
+    Returns their indices in ascending order and their widths in samples at
+    half prominence, or None when fewer than two such maxima exist.  Equal
+    heights go to the higher index.  Only the maxima down to the second
+    accepted one have their prominence evaluated.
+    """
+    maxima = _local_maxima(t)
+    found = []
+    for p in maxima[np.argsort(t[maxima], kind="stable")[::-1]].tolist():
+        prominence = _prominence(t, p)
+        if prominence >= min_prominence:
+            found.append((p, prominence))
+            if len(found) == 2:
+                found.sort()
+                return np.array([p for p, _ in found]), np.array([_half_width(t, *f) for f in found])
+    return None
+
+
 def at_splitting(spec: MediumSpectrum) -> AtResult:
     """Detect the AT doublet in a transmission spectrum.
 
@@ -116,15 +177,15 @@ def at_splitting(spec: MediumSpectrum) -> AtResult:
     maxima exist or their separation is below one FWHM of a single peak.
     """
     t = spec.amp_transmission
+    if t.ndim != 1:
+        raise InvariantViolation("AT splitting needs a single spectrum row")
     span = float(t.max() - t.min())
     if span <= 0:
         return AtResult(None, None, "unresolved")
-    peaks, _ = find_peaks(t, prominence=1e-6 * span)
-    if peaks.size < 2:
+    doublet = _doublet_peaks(t, 1e-6 * span)
+    if doublet is None:
         return AtResult(None, None, "unresolved")
-    order = np.argsort(t[peaks])[::-1][:2]
-    chosen = np.sort(peaks[order])
-    widths_samples = peak_widths(t, chosen, rel_height=0.5)[0]
+    chosen, widths_samples = doublet
     step = float(np.median(np.diff(spec.grid)))
     fwhm = float(widths_samples.max() * step)
     locations = tuple(sorted(_parabolic_refine(spec.grid, t, i) for i in chosen))

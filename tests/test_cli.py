@@ -91,6 +91,35 @@ class TestExitCodes:
             assert "limit is 1000000" in capsys.readouterr().err
 
 
+    def test_servo_steps_capped_before_any_array(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("servo ran")
+
+        monkeypatch.setattr(cli.servo, "run_servo", no_run)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(COLD_BASE.replace("duration_s = 1.0", "duration_s = 1e12"))
+        rc = main(["servo", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "limit is 1000000" in capsys.readouterr().err
+
+    def test_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(COLD_BASE.replace("kernel_hwhm_hz = 2.0e6", "kernel_hwhm_hz = 1e300"))
+        rc = main(["matched", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: OverflowError")
+
+    def test_failed_linear_solve_is_a_numeric_failure(self, cold_config, tmp_path, capsys,
+                                                      monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli.spectroscopy, "scan_probe", singular)
+        rc = main(["scan", "--config", str(cold_config), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        assert capsys.readouterr().err == "error: LinAlgError: Singular matrix\n"
+
+
 class TestOutputs:
     def test_scan_headers_and_columns(self, cold_config, tmp_path):
         out = tmp_path / "out"

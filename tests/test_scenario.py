@@ -99,6 +99,18 @@ class TestGridBounds:
             ScanOpts(start_hz=-1e308, stop_hz=1e308)
 
 
+    def test_servo_steps_at_the_cap_allowed(self):
+        scn = parse_scenario("[ram]\ndt = 1e-3\nduration_s = 1000.0\n")
+        assert round(scn.servo.duration_s / scn.gains.dt) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("duration", ["1000.001", "1e12", "1e300"])
+    def test_servo_steps_above_the_cap_rejected(self, duration):
+        with pytest.raises(InvariantViolation, match="servo run"):
+            parse_scenario(f"[ram]\ndt = 1e-3\nduration_s = {duration}\n")
+        with pytest.raises(InvariantViolation, match="servo run"):
+            parse_scenario(f"[ram]\ndt = 1e-300\nduration_s = {duration}\n")
+
+
 class TestLoadScenario:
     def test_none_gives_defaults(self):
         assert load_scenario(None).config_hash() == parse_scenario("").config_hash()

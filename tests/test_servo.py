@@ -232,6 +232,19 @@ class TestRunServoOracle:
         assert_bitwise(trace.error, error)
         assert_bitwise(trace.dphi_dc, control)
 
+    @pytest.mark.parametrize(
+        "drift", [sinusoid_drift(0.3, 0.5), random_walk_drift(2e-3, seed=21)],
+        ids=["sinusoid", "random_walk"],
+    )
+    def test_matches_stepwise_loop_with_derivative_and_clamps(self, drift):
+        # a derivative term, and clamps that the runs reach
+        gains = PidGains(kp=0.5 / GAIN, ki=0.2 / GAIN, kd=0.2 / GAIN, dt=1e-3,
+                         integrator_clamp=2 * GAIN, output_clamp=0.25)
+        trace = run_servo(drift, gains, 2.0, ram=RAM)
+        control, error = stepwise_servo(drift, gains, 2.0, RAM, True)
+        assert_bitwise(trace.error, error)
+        assert_bitwise(trace.dphi_dc, control)
+
     @pytest.mark.parametrize("lock", [True, False])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_drift(self, bad, lock):
@@ -242,6 +255,15 @@ class TestRunServoOracle:
 
         with pytest.raises(InvariantViolation):
             run_servo(drift, GAINS, 0.1, ram=RAM, lock=lock)
+
+
+    def test_rejects_non_finite_control(self):
+        # kp * e and ki * integral overflow to opposite infinities, so the
+        # increment, and from then on the control and the error, are NaN
+        ram = replace(RAM, e0_sq=1e4)
+        gains = PidGains(kp=1e308, ki=-1e308, integrator_clamp=1e3)
+        with pytest.raises(InvariantViolation, match="finite"):
+            run_servo(constant_drift(1.0), gains, 0.1, ram=ram)
 
 
 class TestZieglerNichols:

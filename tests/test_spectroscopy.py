@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import find_peaks, peak_widths
 
 from rydfm.constants import A0, E_CHARGE, H_PLANCK
 from rydfm.errors import DomainError, InvariantViolation
@@ -11,6 +13,7 @@ from rydfm.quantum import FieldDrive, susceptibility
 from rydfm.spectroscopy import (
     AtResult,
     MediumSpectrum,
+    _doublet_peaks,
     at_splitting,
     field_from_splitting,
     rabi_from_power,
@@ -45,8 +48,6 @@ class TestScanProbe:
         assert np.all(spec.phase == 0.0)
 
     def test_single_interior_maximum_on_resonance(self, cold_system):
-        from scipy.signal import find_peaks
-
         drive = FieldDrive(omega_p=TWO_PI * 0.5e6, omega_c=TWO_PI * 3e6)
         grid = TWO_PI * np.linspace(-10e6, 10e6, 81)
         spec = scan_probe(cold_system, drive, grid)
@@ -134,9 +135,80 @@ class TestAtSplitting:
         assert result.confidence == "resolved"
         assert result.split_hz == pytest.approx(20e6 * ratio, rel=0.10)
 
+    def test_rejects_row_stacked_spectrum(self):
+        spec = synthetic_spectrum([-TWO_PI * 5e6, TWO_PI * 5e6])
+        rows = MediumSpectrum(grid=spec.grid, chi=np.stack([spec.chi] * 2),
+                              amp_transmission=np.stack([spec.amp_transmission] * 2),
+                              phase=np.stack([spec.phase] * 2))
+        with pytest.raises(InvariantViolation, match="single spectrum row"):
+            at_splitting(rows)
+
     def test_invariant_unresolved_carries_no_split(self):
         with pytest.raises(InvariantViolation):
             AtResult(split_hz=1.0, peak_locations=None, confidence="unresolved")
+
+
+def scipy_doublet(t, min_prominence):
+    """The doublet selection made with scipy's find_peaks and peak_widths.
+
+    Ties in height are ordered by a stable sort: the default argsort kind
+    orders them differently with different CPU sort kernels.
+    """
+    peaks, _ = find_peaks(t, prominence=min_prominence)
+    if peaks.size < 2:
+        return None
+    chosen = np.sort(peaks[np.argsort(t[peaks], kind="stable")[::-1][:2]])
+    return chosen, peak_widths(t, chosen, rel_height=0.5)[0]
+
+
+@st.composite
+def transmissions(draw):
+    """Smooth doublets and triplets, single peaks, plateaus, flat and monotone spectra."""
+    n = draw(st.integers(3, 300))
+    x = np.linspace(-1.0, 1.0, n)
+    kind = draw(st.sampled_from(["doublet", "triplet", "single", "clipped", "rounded",
+                                 "flat", "monotone"]))
+    if kind == "flat":
+        return np.full(n, draw(st.floats(0.01, 1.0)))
+    if kind == "monotone":
+        steps = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        return np.cumsum(steps) * draw(st.sampled_from([1.0, -1.0]))
+    t = np.full(n, draw(st.floats(0.0, 0.5)))
+    lines = {"single": 1, "triplet": 3}.get(kind, 2)
+    for center in np.linspace(-0.6, 0.6, lines) if lines > 1 else [0.0]:
+        center += draw(st.floats(-0.3, 0.3))
+        hwhm = draw(st.floats(1e-3, 0.3))
+        height = draw(st.floats(1e-3, 0.5))
+        t = t + height * hwhm ** 2 / ((x - center) ** 2 + hwhm ** 2)
+    if kind == "clipped":
+        t = np.minimum(t, t.min() + draw(st.floats(0.1, 1.0)) * (t.max() - t.min()))
+    if kind == "rounded":
+        t = np.round(t, draw(st.integers(1, 3)))
+    return t
+
+
+class TestDoubletPeaksOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(t=transmissions(), fraction=st.sampled_from([0.0, 1e-6, 0.05, 0.3]))
+    def test_matches_scipy(self, t, fraction):
+        min_prominence = fraction * (t.max() - t.min())
+        expected = scipy_doublet(t, min_prominence)
+        actual = _doublet_peaks(t, min_prominence)
+        if expected is None:
+            assert actual is None
+            return
+        assert actual is not None
+        assert actual[0].tolist() == expected[0].tolist()
+        assert np.max(np.abs(actual[1] - expected[1])) <= 1e-12
+
+    def test_equal_heights_go_to_the_higher_index(self):
+        t = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 0.0])
+        assert _doublet_peaks(t, 0.0)[0].tolist() == [5, 7]
+
+    def test_prominence_threshold_is_inclusive(self):
+        t = np.array([0.0, 1.0, 0.0, 2.0, 0.0])  # prominences exactly 1 and 2
+        assert _doublet_peaks(t, 1.0)[0].tolist() == [1, 3]
+        assert _doublet_peaks(t, np.nextafter(1.0, 2.0)) is None
 
 
 class TestFieldConversion:
