@@ -115,6 +115,8 @@ class SidebandSet:
             raise InvariantViolation("sideband orders must be consecutive ascending integers")
 
     def amplitude(self, order: int) -> complex:
+        if self.amps.ndim != 1:
+            raise InvariantViolation("amplitude() needs a sideband set of one row")
         idx = np.nonzero(self.orders == order)[0]
         return complex(self.amps[idx[0]]) if idx.size else 0.0
 
@@ -130,23 +132,19 @@ def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> Sideband
     return SidebandSet(orders=orders, amps=jv(orders, beta).astype(complex), omega_m=omega_m)
 
 
-def propagate(
-    sb: SidebandSet,
-    spec: MediumSpectrum,
-    carrier_detuning,
-    omega_m: float | None = None,
-) -> SidebandSet:
+def propagate(sb: SidebandSet, spec: MediumSpectrum, carrier_detuning) -> SidebandSet:
     """Apply the medium response t exp(i phi) to each spectral component.
 
     `carrier_detuning` is a scalar or an array of carriers; the result has
-    one row of amplitudes per carrier.  Each order n samples the medium at
-    carrier_detuning + n * omega_m with linear interpolation on the scanned
-    grid; a sample of any carrier outside the grid raises OutOfGridError.
+    one row of amplitudes per carrier.  Order n reads the one-row spectrum at
+    carrier_detuning + n * sb.omega_m by linear interpolation (exact on grid
+    points); a sample of any carrier outside the grid raises OutOfGridError.
     """
-    w_m = omega_m if omega_m is not None else sb.omega_m
-    if w_m is None:
-        raise InvariantViolation("omega_m needed: set it on the SidebandSet or pass it")
-    detunings = np.add.outer(carrier_detuning, sb.orders * w_m)
+    if sb.omega_m is None:
+        raise InvariantViolation("omega_m needed: set it on the SidebandSet")
+    if spec.amp_transmission.ndim != 1:
+        raise InvariantViolation("propagate needs a spectrum of one row")
+    detunings = np.add.outer(carrier_detuning, sb.orders * sb.omega_m)
     lo, hi = spec.grid[0], spec.grid[-1]
     if detunings.min() < lo or detunings.max() > hi:
         raise OutOfGridError(
@@ -155,7 +153,7 @@ def propagate(
         )
     t = np.interp(detunings, spec.grid, spec.amp_transmission)
     phi = np.interp(detunings, spec.grid, spec.phase)
-    return SidebandSet(orders=sb.orders, amps=sb.amps * t * np.exp(1j * phi), omega_m=w_m)
+    return SidebandSet(orders=sb.orders, amps=sb.amps * t * np.exp(1j * phi), omega_m=sb.omega_m)
 
 
 def demodulate(sb: SidebandSet, lo_phase: float) -> float | np.ndarray:

@@ -6,11 +6,14 @@ from dataclasses import replace
 import numpy as np
 
 from .constants import HBAR
+from .errors import InvariantViolation
 from .fm import (
     FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, propagate, sidebands,
 )
-from .quantum import CHUNK, FieldDrive, LadderSystem, susceptibility_batch
+from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 from .spectroscopy import AtResult, MediumSpectrum, at_splitting, scan_probe
+
+MERGE_ULPS = 4  # sideband detunings this close (in ulps) are one medium sample
 
 
 def drive_at_field(sys: LadderSystem, drive: FieldDrive, e_rf: float) -> FieldDrive:
@@ -18,9 +21,17 @@ def drive_at_field(sys: LadderSystem, drive: FieldDrive, e_rf: float) -> FieldDr
     return replace(drive, omega_rf=sys.mu_rf * e_rf / HBAR)
 
 
-def _sideband_grid(cfg: FmConfig, carrier_detuning: float) -> np.ndarray:
-    """Probe detunings of the carrier and its +-n_max sidebands."""
-    return carrier_detuning + np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
+def _sideband_grid(cfg: FmConfig, carriers) -> np.ndarray:
+    """Sorted detunings carrier + n * omega_m over every carrier and |n| <= n_max.
+
+    The only builder of FM medium samples.  Detunings within `MERGE_ULPS` ulps
+    of the largest |detuning| are one sample; the ends are the exact extreme
+    detunings, and one carrier gives carrier + arange(-n_max, n_max + 1) * omega_m.
+    """
+    d = np.sort(np.add.outer(carriers, np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m),
+                axis=None)
+    last_of_run = np.append(np.diff(d) > MERGE_ULPS * np.spacing(max(-d[0], d[-1])), True)
+    return np.unique(np.append(d[0], d[last_of_run]))
 
 
 def _sideband_set(cfg: FmConfig, ram: RamParams | None) -> SidebandSet:
@@ -35,8 +46,7 @@ def sideband_spectrum(
     carrier_detuning: float,
 ) -> MediumSpectrum:
     """Medium response sampled exactly at the carrier and sideband detunings."""
-    grid = _sideband_grid(cfg, carrier_detuning)
-    return MediumSpectrum.from_chi(sys, grid, susceptibility_batch(sys, drive, grid))
+    return scan_probe(sys, drive, _sideband_grid(cfg, carrier_detuning))
 
 
 def fm_response(
@@ -64,30 +74,13 @@ def fm_probe_scan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """In-phase and quadrature FM spectra over a carrier-detuning grid.
 
-    The medium is evaluated once on the carrier grid extended by
-    n_max * omega_m on both sides with the same step; sidebands then sample
-    it by linear interpolation.  Carriers are propagated and demodulated in
-    blocks of `CHUNK`, which bounds the memory of the amplitude stacks.
+    The medium is solved once at every carrier + n * omega_m, so each
+    sideband reads its own sample whatever the ratio of omega_m to the step.
     """
     carrier_grid = np.asarray(carrier_grid, dtype=float)
-    # a single carrier has no grid step: sample the medium at the sideband spacing
-    step = float(np.median(np.diff(carrier_grid))) if carrier_grid.size > 1 else cfg.omega_m
-    pad = int(np.ceil(cfg.n_max * cfg.omega_m / step)) + 1
-    extended = np.concatenate([
-        carrier_grid[0] + step * np.arange(-pad, 0),
-        carrier_grid,
-        carrier_grid[-1] + step * np.arange(1, pad + 1),
-    ])
-    spec = scan_probe(sys, drive, extended)
-    sb = _sideband_set(cfg, ram)
-    inphase = np.empty(carrier_grid.size)
-    quadrature = np.empty(carrier_grid.size)
-    for start in range(0, carrier_grid.size, CHUNK):
-        block = slice(start, start + CHUNK)
-        prop = propagate(sb, spec, carrier_grid[block])
-        inphase[block] = demodulate(prop, 0.0)
-        quadrature[block] = demodulate(prop, np.pi / 2)
-    return inphase, quadrature
+    spec = scan_probe(sys, drive, _sideband_grid(cfg, carrier_grid))
+    prop = propagate(_sideband_set(cfg, ram), spec, carrier_grid)
+    return demodulate(prop, 0.0), demodulate(prop, np.pi / 2)
 
 
 def rf_detuning_scan(
@@ -101,10 +94,11 @@ def rf_detuning_scan(
     """Demodulated FM signal versus RF detuning at a fixed probe carrier.
 
     The sideband detunings of every RF detuning are solved in one batched
-    call, and each row of the medium response is applied to its own copy of
-    the sidebands, so all rows are demodulated at once.
+    call and demodulated as one row each.
     """
     grid = _sideband_grid(cfg, drive.delta_p)
+    if grid.size != 2 * cfg.n_max + 1:
+        raise InvariantViolation("omega_m is below the float resolution of the probe detuning")
     rf = np.asarray(rf_grid, dtype=float)
     chi = susceptibility_batch(sys, drive, grid[None, :], rf[:, None])
     spec = MediumSpectrum.from_chi(sys, grid, chi)

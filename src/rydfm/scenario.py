@@ -24,9 +24,10 @@ from .quantum import FieldDrive, LadderSystem
 from .servo import PidGains
 
 _TWO_PI = 2 * math.pi
-# Largest probe or field grid, or servo step count, a scenario may request
-# (bounds the work per run).
+# Largest probe or field grid, FM medium-sample count (detuning points x
+# sideband orders) or servo step count a scenario may request (bounds work).
 MAX_GRID_POINTS = 10 ** 6
+MAX_NOISE_SAMPLES = 2 ** 24  # largest noise series: 128 MiB of float64
 
 
 def _parse_float(text: str) -> float:
@@ -94,8 +95,8 @@ class NoiseOpts:
         valid = ("white_pm", "flicker_pm", "white_fm", "rw_fm", "shot", "composite")
         if self.kind not in valid:
             raise InvariantViolation(f"noise kind must be one of {valid}")
-        if self.n_samples < 2:
-            raise InvariantViolation("n_samples must be >= 2")
+        if not (2 <= self.n_samples <= MAX_NOISE_SAMPLES):
+            raise InvariantViolation(f"n_samples must lie in [2, {MAX_NOISE_SAMPLES}]")
         if self.dt <= 0:
             raise InvariantViolation("dt must be > 0")
         if self.coefficient < 0 or self.shot_current_a < 0:
@@ -128,12 +129,14 @@ class ScanOpts:
             raise InvariantViolation("kernel_hwhm_hz and e_operating must be > 0")
         if self.line_noise_rms < 0:
             raise InvariantViolation("line_noise_rms must be >= 0")
-        _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
+        self.detuning_points()
         _grid_points(self.e_start, self.e_stop, self.e_step, "field")
 
+    def detuning_points(self) -> int:
+        return _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
+
     def detuning_grid_hz(self) -> np.ndarray:
-        n = _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
-        return self.start_hz + self.step_hz * np.arange(n)
+        return self.start_hz + self.step_hz * np.arange(self.detuning_points())
 
     def probe_grid_rad_s(self) -> np.ndarray:
         return _TWO_PI * self.detuning_grid_hz()
@@ -347,6 +350,9 @@ def parse_scenario(text: str) -> Scenario:
             raise ParseError("[drive] e_rf and omega_rf are mutually exclusive")
         drive = replace(drive, omega_rf=system.mu_rf * e_rf / HBAR)
 
+    scan_kwargs = pick("scan", {k: k for k in _SCHEMA["scan"]})
+    scan_opts = build(ScanOpts, scan_kwargs, "scan")
+
     apply_ram_flag = bool(values.pop(("fm", "apply_ram"), False))
     drive_dbm = values.pop(("fm", "drive_dbm"), None)
     fm_kwargs = pick("fm", {k: k for k in ("omega_m", "beta", "n_max", "lo_phase")})
@@ -354,6 +360,10 @@ def parse_scenario(text: str) -> Scenario:
         if "beta" in fm_kwargs:
             raise ParseError("[fm] beta and drive_dbm are mutually exclusive")
         fm_kwargs["beta"] = index_from_dbm(drive_dbm)
+    # an FM scan solves the medium at every detuning point + n * omega_m
+    samples = scan_opts.detuning_points() * (2 * fm_kwargs.get("n_max", FmConfig.n_max) + 1)
+    if samples > MAX_GRID_POINTS:
+        raise InvariantViolation(f"[fm] {samples} FM medium points; the limit is {MAX_GRID_POINTS}")
     fm_cfg = build(FmConfig, fm_kwargs, "fm")
 
     ram_kwargs = pick("ram", {k: k for k in _RAM_PARAM_KEYS})
@@ -383,9 +393,6 @@ def parse_scenario(text: str) -> Scenario:
     noise_kwargs = pick("noise", {k: k for k in ("kind", "coefficient", "n_samples",
                                                  "dt", "seed", "shot_current_a")})
     noise_opts = build(NoiseOpts, {"budget": budget, **noise_kwargs}, "noise")
-
-    scan_kwargs = pick("scan", {k: k for k in _SCHEMA["scan"]})
-    scan_opts = build(ScanOpts, scan_kwargs, "scan")
 
     output_kwargs = pick("output", {k: k for k in _SCHEMA["output"]})
     output_opts = build(OutputOpts, output_kwargs, "output")

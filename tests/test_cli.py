@@ -91,6 +91,33 @@ class TestExitCodes:
             assert "limit is 1000000" in capsys.readouterr().err
 
 
+    def test_fm_medium_samples_capped_before_fm_config(self, tmp_path, capsys, monkeypatch):
+        # 41 detunings x 2e12 + 1 sideband orders; FmConfig would try to
+        # sum the Bessel closure over all of them
+        def no_run(*args, **kwargs):
+            raise AssertionError("FM pipeline ran")
+
+        monkeypatch.setattr(cli.pipelines, "fm_probe_scan", no_run)
+        monkeypatch.setattr(cli.pipelines, "rf_detuning_scan", no_run)
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text(COLD_BASE.replace("n_max = 5", "n_max = 1000000000000"))
+        for subcommand in ("fmscan", "matched"):
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert "limit is 1000000" in capsys.readouterr().err
+
+    def test_noise_samples_capped_before_any_array(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("noise synthesized")
+
+        monkeypatch.setattr(cli.noise, "gen_powerlaw", no_run)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(COLD_BASE.replace("n_samples = 8192", "n_samples = 8796093022208"))
+        for subcommand in ("noise", "allan"):
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert "n_samples must lie in [2, 16777216]" in capsys.readouterr().err
+
     def test_servo_steps_capped_before_any_array(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("servo ran")

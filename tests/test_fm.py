@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ from rydfm.fm import (
     ram_photocurrent,
     sidebands,
 )
-from rydfm.pipelines import drive_at_field, fm_probe_scan, rf_detuning_scan, sideband_spectrum
-from rydfm.quantum import CHUNK
+from rydfm.pipelines import (
+    _sideband_grid, drive_at_field, fm_probe_scan, fm_response, rf_detuning_scan, sideband_spectrum,
+)
+from rydfm.quantum import CHUNK, FieldDrive, LadderSystem
+from rydfm.scenario import load_scenario
 
 TWO_PI = 2 * math.pi
 OMEGA_M = TWO_PI * 10e6
@@ -155,6 +159,22 @@ class TestPropagate:
         sb = sidebands(0.1, 2)
         with pytest.raises(InvariantViolation):
             propagate(sb, symmetric_medium(), 0.0)
+
+    def test_row_stacked_spectrum_rejected(self):
+        from rydfm.spectroscopy import MediumSpectrum
+
+        one, two = symmetric_medium(), asymmetric_medium()
+        stacked = MediumSpectrum(one.grid, np.stack([one.chi, two.chi]),
+                                 np.stack([one.amp_transmission, two.amp_transmission]),
+                                 np.stack([one.phase, two.phase]))
+        with pytest.raises(InvariantViolation, match="one row"):
+            propagate(sidebands(0.7, 8, omega_m=OMEGA_M), stacked, 0.0)
+
+    def test_amplitude_of_row_stack_rejected(self):
+        rows = propagate(sidebands(0.7, 8, omega_m=OMEGA_M), asymmetric_medium(),
+                         TWO_PI * np.array([-5e6, 5e6]))
+        with pytest.raises(InvariantViolation, match="one row"):
+            rows.amplitude(1)
 
 
 class TestDemodulate:
@@ -290,6 +310,82 @@ class TestFmProbeScan:
             assert abs(quadrature[i] - quad_ref[0]) <= 1e-13 * dc[0]
 
 
+    @staticmethod
+    def assert_matches_fm_response_loop(system, drive, cfg, carriers, ram):
+        # the exact path against one sideband spectrum, propagation and
+        # closed-form lock-in per carrier
+        inphase, quadrature = fm_probe_scan(system, drive, cfg, carriers, ram=ram)
+        for i, carrier in enumerate(carriers):
+            in_ref, dc = fm_response(system, drive, cfg, float(carrier), lo_phase=0.0, ram=ram)
+            quad_ref, _ = fm_response(system, drive, cfg, float(carrier), lo_phase=math.pi / 2,
+                                      ram=ram)
+            assert abs(inphase[i] - in_ref) <= 1e-12 * dc
+            assert abs(quadrature[i] - quad_ref) <= 1e-12 * dc
+
+    @pytest.mark.parametrize("n_carriers", [1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("ram", [None, RamParams(dphi_n=0.3)])
+    def test_off_lattice_step_matches_fm_response(self, warm_system, default_drive, n_carriers,
+                                                  ram):
+        # a 0.3 MHz step is no divisor of the 10 MHz modulation, so no
+        # sideband of a carrier lands on another carrier
+        carriers = TWO_PI * (-5e6 + 0.3e6 * np.arange(n_carriers))
+        self.assert_matches_fm_response_loop(warm_system, default_drive, FmConfig(), carriers, ram)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        ratio=st.floats(0.01, 3.0),
+        n_carriers=st.integers(1, 12),
+        start_hz=st.floats(-20e6, 20e6),
+        omega_m_hz=st.floats(1e6, 20e6),
+        n_max=st.integers(5, 8),
+    )
+    def test_any_step_ratio_matches_fm_response(self, ratio, n_carriers, start_hz, omega_m_hz,
+                                                n_max):
+        cold = LadderSystem(temperature=1e-9, n_atoms=1e13)
+        drive = FieldDrive(omega_p=TWO_PI * 6.7e6, omega_c=TWO_PI * 7.0e6, delta_c=TWO_PI * 1e6)
+        cfg = FmConfig(omega_m=TWO_PI * omega_m_hz, n_max=n_max)
+        carriers = TWO_PI * (start_hz + ratio * omega_m_hz * np.arange(n_carriers))
+        self.assert_matches_fm_response_loop(cold, drive, cfg, carriers, None)
+
+    def test_medium_samples_on_shipped_grid(self, cold_system, default_drive, monkeypatch):
+        # on the shipped commensurate grid, coinciding sidebands share a
+        # sample: 121 carriers and 16 sideband steps of 20 grid steps each
+        import rydfm.pipelines as pipelines
+
+        seen = []
+        real_scan_probe = pipelines.scan_probe
+
+        def recording_scan_probe(system, drive, grid):
+            seen.append(grid)
+            return real_scan_probe(system, drive, grid)
+
+        monkeypatch.setattr(pipelines, "scan_probe", recording_scan_probe)
+        scn = load_scenario(str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg"))
+        carriers = scn.scan.probe_grid_rad_s()
+        fm_probe_scan(cold_system, default_drive, scn.fm, carriers)
+        (grid,) = seen
+        assert carriers.size == 121 and grid.size == 441
+        assert np.all(np.diff(grid) > 0)
+        assert grid[0] == carriers[0] - 8 * scn.fm.omega_m
+        assert grid[-1] == carriers[-1] + 8 * scn.fm.omega_m
+
+    @pytest.mark.parametrize("carrier", [0.0, -TWO_PI * 3.7e6, TWO_PI * 29.9e6])
+    def test_one_carrier_grid_is_the_sideband_comb(self, carrier):
+        cfg = FmConfig()
+        expected = carrier + np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
+        assert np.array_equal(_sideband_grid(cfg, carrier), expected)
+
+    @pytest.mark.parametrize("carrier", [1e10, -1e10])
+    def test_merged_comb_keeps_exact_ends(self, carrier):
+        # 4e-6 rad/s is 2 ulps at a 1e10 rad/s carrier: the orders merge,
+        # but the first and last samples stay the extreme detunings
+        cfg = FmConfig(omega_m=4e-6)
+        comb = carrier + np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
+        grid = _sideband_grid(cfg, carrier)
+        assert grid.size < comb.size and np.all(np.diff(grid) > 0)
+        assert (grid[0], grid[-1]) == (comb.min(), comb.max())
+
+
 class TestRfDetuningScan:
     def test_matches_per_row_lockin(self, cold_system, default_drive):
         # every RF row at once against one exact sideband spectrum, one
@@ -304,6 +400,12 @@ class TestRfDetuningScan:
             spec = sideband_spectrum(cold_system, drive, cfg, drive.delta_p)
             ref, dc = time_domain_lockin(propagate(sb, spec, drive.delta_p), cfg.lo_phase)
             assert abs(value - ref[0]) <= 1e-13 * dc[0]
+
+    def test_unresolvable_modulation_rejected(self, cold_system, default_drive):
+        # sidebands 2 ulps apart at a 1e10 rad/s carrier merge into one sample
+        drive = replace(default_drive, delta_p=1e10)
+        with pytest.raises(InvariantViolation, match="float resolution"):
+            rf_detuning_scan(cold_system, drive, FmConfig(omega_m=4e-6), np.zeros(3))
 
 
 class TestRamPhotocurrent:

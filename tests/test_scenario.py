@@ -4,7 +4,9 @@ import pytest
 
 from rydfm.errors import InvariantViolation, ParseError, UnknownKeyError
 from rydfm.fm import index_from_dbm
-from rydfm.scenario import MAX_GRID_POINTS, ScanOpts, load_scenario, parse_scenario
+from rydfm.scenario import (
+    MAX_GRID_POINTS, MAX_NOISE_SAMPLES, ScanOpts, load_scenario, parse_scenario,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -109,6 +111,34 @@ class TestGridBounds:
             parse_scenario(f"[ram]\ndt = 1e-3\nduration_s = {duration}\n")
         with pytest.raises(InvariantViolation, match="servo run"):
             parse_scenario(f"[ram]\ndt = 1e-300\nduration_s = {duration}\n")
+
+    # 64 detuning points x 15,625 sideband orders is exactly the cap
+    @pytest.mark.parametrize("scan, n_max", [
+        ("stop_hz = 63\n", "7812"),
+        ("stop_hz = 58822\n", "8"),
+    ])
+    def test_fm_medium_samples_at_the_cap_allowed(self, scan, n_max):
+        scn = parse_scenario(f"[scan]\nstart_hz = 0\nstep_hz = 1\n{scan}[fm]\nn_max = {n_max}\n")
+        assert scn.scan.detuning_points() * (2 * scn.fm.n_max + 1) <= MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("scan, n_max", [
+        ("stop_hz = 63\n", "7813"),
+        ("stop_hz = 58823\n", "8"),
+        ("stop_hz = 63\n", "1000000000000"),
+    ])
+    def test_fm_medium_samples_above_the_cap_rejected(self, scan, n_max):
+        # checked before FmConfig sums the Bessel closure over every order
+        with pytest.raises(InvariantViolation, match=r"\[fm\].*limit is 1000000"):
+            parse_scenario(f"[scan]\nstart_hz = 0\nstep_hz = 1\n{scan}[fm]\nn_max = {n_max}\n")
+
+    def test_noise_samples_at_the_cap_allowed(self):
+        scn = parse_scenario(f"[noise]\nn_samples = {MAX_NOISE_SAMPLES}\n")
+        assert scn.noise.n_samples == MAX_NOISE_SAMPLES == 2 ** 24
+
+    @pytest.mark.parametrize("n_samples", [MAX_NOISE_SAMPLES + 1, 2 ** 43, 1])
+    def test_noise_samples_outside_the_range_rejected(self, n_samples):
+        with pytest.raises(InvariantViolation, match=r"\[noise\] n_samples"):
+            parse_scenario(f"[noise]\nn_samples = {n_samples}\n")
 
 
 class TestLoadScenario:
