@@ -8,8 +8,9 @@ lines carrying the config hash and seed; numeric bodies are byte-identical
 across reruns of the same configuration.  The output directory resolves
 as --out, then $RYDFM_OUT, then the scenario [output] dir.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (including
-an arithmetic overflow or a failed linear solve), 4 I/O.
+Exit codes: 0 success, 2 configuration error (every scenario that fails to
+load), 3 numeric failure (including an arithmetic overflow or a failed
+linear solve), 4 I/O.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__, analysis, fm, noise, pipelines, servo, spectroscopy
-from .errors import CONFIG_ERRORS, NUMERIC_ERRORS
+from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, RydfmError
 from .scenario import Scenario, load_scenario
 
 SUBCOMMANDS = ("scan", "fmscan", "atcal", "servo", "noise", "allan", "matched", "sensitivity")
@@ -51,20 +52,56 @@ class RunManifest:
 
 
 _FLOAT_FORMAT = "%.12e"  # `_FLOAT_FORMAT % x` gives the bytes of f"{x:.12e}"
-CSV_BLOCK_ROWS = 4096  # CSV body rows formatted by one "%" and written at once
+_PADDED_FORMAT = "%-23.12e"  # the same, then spaces up to 23 bytes
+CSV_BLOCK_ROWS = 4096  # CSV body rows formatted and written at once
+
+# The numpy CSV formatter.  It writes |x| as a 13-digit integer mantissa m =
+# rint(|x| * 10^(12 - e)) with e = floor(log10|x|).  10^k is read from a
+# table of correctly rounded powers and the product is rounded once, so the
+# scaled value is within (2u + u^2) of the exact |x| * 10^(12 - e) relatively
+# (u = 2^-53), i.e. off by less than 2.3e-3 of a unit in the 13th digit
+# while it lies below 1e13.  A scaled value farther than _TIE_MARGIN from a
+# .5 tie therefore rounds as the exact decimal value of x does.  Values
+# closer to a tie, outside [_SURE_MIN, _SURE_MAX] (non-finite, zero,
+# subnormal, or with 10^(12 - e) out of the table) or whose exponent
+# estimate is off are formatted by `_FLOAT_FORMAT` instead.
+_TIE_MARGIN = 1e-2
+_SURE_MIN, _SURE_MAX = 1e-290, 1e290
+_POW10_MIN = -280
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 305)])
+
+
+def _byte_table(rows: Iterable[bytes], dtype) -> np.ndarray:
+    """Equal-length byte strings as one `dtype` word each, in memory order."""
+    return np.frombuffer(b"".join(rows), dtype=dtype)
+
+
+# A value's 24-byte record: separator, sign, lead digit and '.' (one
+# uint32), three uint32 groups of 4 digits, then 'e', the exponent sign, the
+# exponent's 2 or 3 digits and a newline slot (one uint64).  0 bytes are
+# padding, dropped when the block is written.
+_LEAD = _byte_table((bytes([0, sign, ord("0") + d, ord(".")]) for sign in (0, ord("-"))
+                     for d in range(10)), np.uint32)
+_PAIRS = _byte_table((b"%02d" % i for i in range(100)), np.uint16)
+_DIGITS4 = np.empty((100, 100, 2), dtype=np.uint16)  # from pairs: a 10000 x 4 build costs 1 MB RSS
+_DIGITS4[..., 0], _DIGITS4[..., 1] = _PAIRS[:, None], _PAIRS
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()  # "0000" ... "9999"
+_EXP_MIN = -300
+_EXPONENT = _byte_table(((b"e%+03d" % k).ljust(8, b"\0") for k in range(_EXP_MIN, 301)),
+                        np.uint64)
 
 
 def _fmt(value: float) -> str:
     return _FLOAT_FORMAT % value
 
 
-def _atomic_write(path: Path, lines: list[str], blocks: Iterable[str] = ()) -> None:
-    """Write `lines`, then the text `blocks`, to a temp file renamed over `path`."""
+def _atomic_write(path: Path, lines: list[str], blocks: Iterable[bytes] = ()) -> None:
+    """Write `lines`, then the byte `blocks`, to a temp file renamed over `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(("\n".join(lines) + "\n").encode("utf-8"))
             handle.writelines(blocks)
         os.replace(tmp, path)
     except BaseException:
@@ -73,11 +110,56 @@ def _atomic_write(path: Path, lines: list[str], blocks: Iterable[str] = ()) -> N
         raise
 
 
-def _csv_blocks(table: np.ndarray) -> Iterator[str]:
-    """CSV lines of a 2-D float table, CSV_BLOCK_ROWS rows per string."""
-    row_format = ",".join([_FLOAT_FORMAT] * table.shape[1]) + "\n"
-    for block in np.split(table, range(CSV_BLOCK_ROWS, len(table), CSV_BLOCK_ROWS)):
-        yield (row_format * len(block)) % tuple(block.ravel().tolist())
+def _csv_blocks(table: np.ndarray) -> Iterator[bytes]:
+    """CSV lines of a 2-D float table, CSV_BLOCK_ROWS rows per byte string."""
+    n_rows, n_cols = table.shape
+    if not n_cols:
+        yield b"\n" * n_rows
+        return
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):  # a call per block frees its arrays
+        yield _csv_block(table[start:start + CSV_BLOCK_ROWS])
+
+
+def _csv_block(block: np.ndarray) -> bytes:
+    """CSV lines of a 2-D float table of at least one column.
+
+    Each value is written as f"{x:.12e}" would write it: by the numpy fast
+    path when it is sure of every digit, else by one batched `%`.
+    """
+    x = block.ravel()
+    a = np.abs(x)
+    sure = (a >= _SURE_MIN) & (a <= _SURE_MAX)  # False for NaN
+    a = np.where(sure, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[12 - e - _POW10_MIN]
+    # y outside [1e12, 1e13) means e was off
+    sure &= (y >= 1e12) & (y < 1e13) & (np.abs(y - np.floor(y) - 0.5) >= _TIE_MARGIN)
+    m = np.rint(np.where(sure, y, 1e12)).astype(np.int64)  # unsure: any 13 digits
+    carry = m == 10**13  # 9.9999999999995e12 <= y < 1e13 rounds up a decade
+    m[carry] = 10**12
+    e += carry
+
+    records = np.empty((x.size, 6), dtype=np.uint32)
+    lead, rest = np.divmod(m, 10**12)
+    records[:, 0] = _LEAD[np.signbit(x) * 10 + lead]
+    high, low = np.divmod(rest, 10**8)
+    middle, low = np.divmod(low, 10**4)
+    records[:, 1] = _DIGITS4[high]
+    records[:, 2] = _DIGITS4[middle]
+    records[:, 3] = _DIGITS4[low]
+    records[:, 4:].view(np.uint64)[:, 0] = _EXPONENT[e - _EXP_MIN]
+    text = records.view(np.uint8)
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        # one `%` for all of them, each left-justified in the 23 bytes after
+        # the separator (a bytes object per value raised peak RSS in some runs)
+        exact = (_PADDED_FORMAT * unsure.size) % tuple(x[unsure].tolist())
+        exact = exact.encode().replace(b" ", b"\0")
+        text[unsure, 1:] = np.frombuffer(exact, np.uint8).reshape(-1, 23)
+    text = text.reshape(*block.shape, 24)
+    text[:, 1:, 0] = ord(",")
+    text[:, -1, 23] = ord("\n")
+    return text[text != 0].tobytes()
 
 
 def _header_lines(header: dict) -> list[str]:
@@ -318,8 +400,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.config)
-    except CONFIG_ERRORS as exc:
+    except RydfmError as exc:  # every scenario that fails to load is a config error
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rydfm import cli
+from rydfm import cli, scenario
 from rydfm.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, write_csv
 from rydfm.scenario import ScanOpts
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TWO_PI = 2 * math.pi
 
@@ -129,6 +133,20 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "limit is 1000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key_line, message", [
+        ("n_max = 2", "sideband truncation keeps"),
+        ("beta = 1e308", "sideband truncation keeps"),
+        ("drive_dbm = 1e308", "OverflowError"),
+    ])
+    def test_scenario_that_fails_to_load_is_a_config_error(self, key_line, message, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "fm.cfg"
+        cfg.write_text(COLD_BASE.replace("n_max = 5", key_line))
+        rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_overflow_is_a_numeric_failure(self, tmp_path, capsys):
         cfg = tmp_path / "wide.cfg"
         cfg.write_text(COLD_BASE.replace("kernel_hwhm_hz = 2.0e6", "kernel_hwhm_hz = 1e300"))
@@ -145,6 +163,46 @@ class TestExitCodes:
         rc = main(["scan", "--config", str(cold_config), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == "error: LinAlgError: Singular matrix\n"
+
+
+NUMERIC_KEYS = [
+    (section, key)
+    for section, keys in scenario._SCHEMA.items()
+    for key, (_, parser) in keys.items()
+    if parser in (scenario._parse_float, scenario._parse_int)
+]
+
+
+def with_key(text, section, key, value):
+    """Scenario `text` with `key` of [section] set to `value` alone."""
+    lines, current = [], None
+    for line in text.splitlines():
+        body = line.split("#", 1)[0].strip()
+        if body.startswith("["):
+            current = body[1:-1].strip().lower()
+        elif current == section and body.partition("=")[0].strip().lower() == key:
+            continue
+        lines.append(line)
+    return "\n".join(lines + [f"[{section}]", f"{key} = {value}"]) + "\n"
+
+
+class TestConfigPerturbations:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        config=st.sampled_from(["default.cfg", "servo_demo.cfg", "at_calibration.cfg"]),
+        section_key=st.sampled_from(NUMERIC_KEYS),
+        value=st.sampled_from(["0", "-1", "1e308", "nan", "inf", "garbage text"]),
+    )
+    def test_one_key_loads_or_is_a_config_error(self, config, section_key, value, tmp_path,
+                                                monkeypatch, capsys):
+        # only loading is exercised: every subcommand runner is a no-op
+        monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli.SUBCOMMANDS, lambda *args: []))
+        cfg = tmp_path / "perturbed.cfg"
+        cfg.write_text(with_key((SHIPPED_CONFIGS / config).read_text(), *section_key, value))
+        rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert (rc, err) == (EXIT_OK, "") or (rc == EXIT_CONFIG and err.startswith("error: "))
 
 
 class TestOutputs:
@@ -267,6 +325,34 @@ def _special_values(n_rows, n_cols):
     return values.reshape(n_rows, n_cols)
 
 
+def float_bit_patterns():
+    """Any float64, drawn as its 64-bit pattern (NaNs, infinities, subnormals)."""
+    return st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@st.composite
+def near_ties(draw):
+    """Values a few ulps from a .5 tie in the 13th significant digit."""
+    digits = draw(st.integers(10**12, 10**13 - 1))
+    exponent = draw(st.integers(-300, 300))
+    tie = np.float64(f"{digits}5e{exponent - 13}")
+    ulps = draw(st.integers(-3, 3))
+    value = float((tie.view(np.int64) + ulps).view(np.float64))
+    return draw(st.sampled_from([value, -value]))
+
+
+@st.composite
+def near_decades(draw):
+    """Values up to 400 ulps below a power of ten, or just above it.
+
+    Up to a few hundred ulps below 10^k the 13-digit mantissa rounds up to
+    10.000000000000, which carries into the exponent.
+    """
+    power = np.float64(f"1e{draw(st.integers(-300, 300))}")
+    value = float((power.view(np.int64) + draw(st.integers(-400, 3))).view(np.float64))
+    return draw(st.sampled_from([value, -value]))
+
+
 class TestWriteCsv:
     HEADER = {"config_hash": "abc", "seed": 7}
 
@@ -294,6 +380,37 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(path, self.HEADER, columns, rows)
         assert path.read_bytes() == per_value_csv(self.HEADER, columns, rows).encode()
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        values=st.lists(st.one_of(float_bit_patterns(), near_ties(), near_decades()),
+                        min_size=1, max_size=50),
+        n_cols=st.integers(1, 5),
+        extra_rows=st.integers(1, 3),
+    )
+    def test_bytes_match_per_value_oracle_property(self, values, n_cols, extra_rows, tmp_path):
+        # the drawn values, repeated over a table that spans a block boundary
+        rows = np.resize(np.array(values), (CSV_BLOCK_ROWS + extra_rows, n_cols))
+        columns = [f"c{i}" for i in range(n_cols)]
+        path = tmp_path / "out.csv"
+        write_csv(path, self.HEADER, columns, rows)
+        assert path.read_bytes() == per_value_csv(self.HEADER, columns, rows).encode()
+
+    def test_near_tie_sweep_matches_oracle(self):
+        # 100k values within 3 ulps of a 13th-digit tie at every exponent:
+        # enough that a tie margin well below the 2.3e-3 bound miswrites some
+        rng = np.random.default_rng(11)
+        n = 100_000
+        digits = rng.integers(10**12, 10**13, n)
+        exponents = rng.integers(-300, 301, n)
+        ties = np.array([f"{d}5e{k - 13}" for d, k in zip(digits.tolist(), exponents.tolist())],
+                        dtype=float)
+        values = (ties.view(np.int64) + rng.integers(-3, 4, n)).view(np.float64)
+        values *= rng.choice([-1.0, 1.0], n)
+        table = values.reshape(-1, 4)
+        expected = "".join(",".join(f"{x:.12e}" for x in row) + "\n" for row in table.tolist())
+        assert b"".join(cli._csv_blocks(table)) == expected.encode()
 
     def test_scalar_format_matches_oracle(self):
         for x in _special_values(8, 4).ravel():

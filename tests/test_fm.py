@@ -155,6 +155,19 @@ class TestPropagate:
         for row, carrier in zip(rows, carriers):
             assert np.array_equal(row, propagate(sb, spec, float(carrier)).amps)
 
+    @pytest.mark.parametrize("carriers", [0.3e6, np.linspace(-30e6, 30e6, 7)])
+    def test_bitwise_equal_to_product_formula(self, carriers):
+        # the in-place product keeps amps * t * exp(1j * phi), bit for bit
+        spec = asymmetric_medium()
+        sb = apply_ram(sidebands(0.7, 8, omega_m=OMEGA_M), RamParams(dphi_n=0.3))
+        detunings = np.add.outer(TWO_PI * carriers, sb.orders * OMEGA_M)
+        t = np.interp(detunings, spec.grid, spec.amp_transmission)
+        phi = np.interp(detunings, spec.grid, spec.phase)
+        expected = sb.amps * t * np.exp(1j * phi)
+        got = propagate(sb, spec, TWO_PI * carriers).amps
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_needs_omega_m(self):
         sb = sidebands(0.1, 2)
         with pytest.raises(InvariantViolation):
