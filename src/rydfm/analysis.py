@@ -155,7 +155,8 @@ def allan_deviation(ts: TimeSeries, taus, estimator: str = "nonoverlapping") -> 
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     sigma = np.empty(taus.size)
     counts = np.empty(taus.size, dtype=int)
-    cumulative = np.concatenate([[0.0], np.cumsum(values)])
+    if estimator == "overlapping":
+        cumulative = np.concatenate([[0.0], np.cumsum(values)])
     for i, tau in enumerate(taus):
         m_float = tau / ts.dt
         m = int(round(m_float))

@@ -61,10 +61,10 @@ CSV_BLOCK_ROWS = 4096  # CSV body rows formatted and written at once
 # scaled value is within (2u + u^2) of the exact |x| * 10^(12 - e) relatively
 # (u = 2^-53), i.e. off by less than 2.3e-3 of a unit in the 13th digit
 # while it lies below 1e13.  A scaled value farther than _TIE_MARGIN from a
-# .5 tie therefore rounds as the exact decimal value of x does.  Values
-# closer to a tie, outside [_SURE_MIN, _SURE_MAX] (non-finite, zero,
-# subnormal, or with 10^(12 - e) out of the table) or whose exponent
-# estimate is off are formatted by `_FLOAT_FORMAT` instead.
+# .5 tie therefore rounds as the exact decimal value of x does.  Zeros are
+# written as m = 0, e = 0.  Values closer to a tie, outside [_SURE_MIN,
+# _SURE_MAX] (non-finite, subnormal, or with 10^(12 - e) out of the table)
+# or whose exponent estimate is off are formatted by `_FLOAT_FORMAT` instead.
 _TIE_MARGIN = 1e-2
 _SURE_MIN, _SURE_MAX = 1e-290, 1e290
 _POW10_MIN = -280
@@ -128,25 +128,30 @@ def _csv_block(block: np.ndarray) -> bytes:
     """
     x = block.ravel()
     a = np.abs(x)
+    zero = a == 0
     sure = (a >= _SURE_MIN) & (a <= _SURE_MAX)  # False for NaN
     a = np.where(sure, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     y = a * _POW10[12 - e - _POW10_MIN]
     # y outside [1e12, 1e13) means e was off
     sure &= (y >= 1e12) & (y < 1e13) & (np.abs(y - np.floor(y) - 0.5) >= _TIE_MARGIN)
-    m = np.rint(np.where(sure, y, 1e12)).astype(np.int64)  # unsure: any 13 digits
+    # m = 0 for zeros (e = 0, as a = 1.0) and for unsure values (overwritten below)
+    m = np.rint(np.where(sure, y, 0.0)).astype(np.int64)
+    sure |= zero
     carry = m == 10**13  # 9.9999999999995e12 <= y < 1e13 rounds up a decade
     m[carry] = 10**12
     e += carry
 
     records = np.empty((x.size, 6), dtype=np.uint32)
-    lead, rest = np.divmod(m, 10**12)
+    lead = m // 10**12
     records[:, 0] = _LEAD[np.signbit(x) * 10 + lead]
-    high, low = np.divmod(rest, 10**8)
-    middle, low = np.divmod(low, 10**4)
+    m -= lead * 10**12
+    high = m // 10**8
+    m -= high * 10**8
+    middle = m // 10**4
     records[:, 1] = _DIGITS4[high]
     records[:, 2] = _DIGITS4[middle]
-    records[:, 3] = _DIGITS4[low]
+    records[:, 3] = _DIGITS4[m - middle * 10**4]
     records[:, 4:].view(np.uint64)[:, 0] = _EXPONENT[e - _EXP_MIN]
     text = records.view(np.uint8)
     unsure = np.flatnonzero(~sure)

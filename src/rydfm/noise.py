@@ -77,41 +77,51 @@ def _rng_for(seed: int, kind: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_KIND_STREAM[kind],)))
 
 
+def _shaped_sum(components, n: int, dt: float, seed: int) -> np.ndarray:
+    """Sum of the FFT-shaped series of `components`, (kind, coefficient) pairs.
+
+    Every component is shaped in place in one buffer and one spectrum, by the
+    operations fresh arrays would get, so each value is bit for bit the same.
+    """
+    for kind, coefficient in components:
+        if kind not in SPECTRAL_SLOPES:
+            raise UnsupportedKindError(f"unsupported noise kind {kind!r}")
+        if not (0 <= coefficient < math.inf):
+            raise InvariantViolation(f"coefficient {kind} must be finite and >= 0")
+    if n < 2 or (n & (n - 1)) != 0:
+        raise InvariantViolation("n must be a power of two >= 2")
+    if not (0 < dt < math.inf):
+        raise InvariantViolation("dt must be finite and > 0")
+    total, buf = np.zeros(n), np.empty(n)
+    spectrum = np.empty(n // 2 + 1, dtype=complex)
+    freqs = np.fft.rfftfreq(n, dt)
+    fs = 1.0 / dt
+    shaping = np.zeros_like(freqs)
+    for kind, coefficient in components:
+        if coefficient > 0:
+            _rng_for(seed, kind).standard_normal(out=buf)
+            np.fft.rfft(buf, out=spectrum)
+            shaping[1:] = np.sqrt(coefficient * freqs[1:] ** SPECTRAL_SLOPES[kind] * fs / 2.0)
+            spectrum *= shaping
+            np.fft.irfft(spectrum, n, out=buf)
+            total += buf
+    return total
+
+
 def gen_powerlaw(kind: str, coefficient: float, n: int, dt: float, seed: int) -> TimeSeries:
     """Series with one-sided PSD coefficient * f**alpha for the given kind.
 
     `n` must be a power of two (FFT shaping).  The DC bin is zeroed, so
     every generated series has zero mean by construction.
     """
-    if kind not in SPECTRAL_SLOPES:
-        raise UnsupportedKindError(f"unsupported noise kind {kind!r}")
-    if coefficient < 0:
-        raise InvariantViolation("coefficient must be >= 0")
-    if n < 2 or (n & (n - 1)) != 0:
-        raise InvariantViolation("n must be a power of two >= 2")
-    if dt <= 0:
-        raise InvariantViolation("dt must be > 0")
-    alpha = SPECTRAL_SLOPES[kind]
-    if coefficient == 0.0:
-        return TimeSeries(dt=dt, values=np.zeros(n), seed=seed, kind=kind)
-    rng = _rng_for(seed, kind)
-    white = rng.standard_normal(n)
-    spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, dt)
-    fs = 1.0 / dt
-    shaping = np.zeros_like(freqs)
-    shaping[1:] = np.sqrt(coefficient * freqs[1:] ** alpha * fs / 2.0)
-    values = np.fft.irfft(spectrum * shaping, n)
+    values = _shaped_sum([(kind, coefficient)], n, dt, seed)
     return TimeSeries(dt=dt, values=values, seed=seed, kind=kind)
 
 
 def gen_composite(budget: NoiseBudget, n: int, dt: float, seed: int) -> TimeSeries:
     """Sum of independent power-law components, one RNG stream per kind."""
-    total = np.zeros(n)
-    for kind, coefficient in budget.items():
-        if coefficient > 0:
-            total = total + gen_powerlaw(kind, coefficient, n, dt, seed).values
-    return TimeSeries(dt=dt, values=total, seed=seed, kind="composite")
+    values = _shaped_sum(budget.items(), n, dt, seed)
+    return TimeSeries(dt=dt, values=values, seed=seed, kind="composite")
 
 
 def shot_noise_series(photocurrent: float, dt: float, n: int, seed: int) -> TimeSeries:
@@ -119,10 +129,10 @@ def shot_noise_series(photocurrent: float, dt: float, n: int, seed: int) -> Time
 
     Mean `photocurrent`, per-sample variance 2 e I * (1 / (2 dt)).
     """
-    if photocurrent < 0:
-        raise InvariantViolation("photocurrent must be >= 0")
-    if dt <= 0:
-        raise InvariantViolation("dt must be > 0")
+    if not (0 <= photocurrent < math.inf):
+        raise InvariantViolation("photocurrent must be finite and >= 0")
+    if not (0 < dt < math.inf):
+        raise InvariantViolation("dt must be finite and > 0")
     if n < 2:
         raise InvariantViolation("n must be >= 2")
     sigma = np.sqrt(2 * E_CHARGE * photocurrent / (2 * dt))

@@ -163,19 +163,27 @@ def run_servo(
     amp = _ram_amplitude(base, 1)
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     i_clamp, u_clamp = gains.integrator_clamp, gains.output_clamp
-    control, error = [], []
-    # pid_step's arithmetic, inlined: the state is `integral` and `prev`
-    integral, prev = 0.0, None
-    u = 0.0
-    for phi in phi_n.tolist():
-        e = amp * math.sin(phi + u)
-        error.append(e)
-        control.append(u)
-        if lock:
-            integral = min(max(integral + e, -i_clamp), i_clamp)
+    # pid_step's arithmetic, inlined, with each min(max(v, -c), c) written as
+    # the comparisons it makes; the state is `integral` and `prev`
+    integral, prev, u = 0.0, None, 0.0
+    if lock:
+        control, error = [], []
+        sin, record_u, record_e = math.sin, control.append, error.append
+        for phi in phi_n.tolist():
+            e = amp * sin(phi + u)
+            record_e(e)
+            record_u(u)
+            v = integral + e
+            v = -i_clamp if -i_clamp > v else v
+            integral = i_clamp if i_clamp < v else v
             derivative = 0.0 if prev is None else e - prev
             prev = e
-            u = min(max(u + (kp * e + ki * integral + kd * derivative), -u_clamp), u_clamp)
+            v = u + (kp * e + ki * integral + kd * derivative)
+            v = -u_clamp if -u_clamp > v else v
+            u = u_clamp if u_clamp < v else v
+    else:  # u stays 0.0; `+ u` still turns a -0.0 drift into +0.0
+        error = [amp * math.sin(phi + u) for phi in phi_n.tolist()]
+        control = [u] * len(error)
     control, error = np.array(control), np.array(error)
     if not np.all(np.isfinite(error)):
         raise InvariantViolation("error must be finite")

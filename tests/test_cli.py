@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -9,7 +11,8 @@ from rydfm import cli, scenario
 from rydfm.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, write_csv
 from rydfm.scenario import ScanOpts
 
-SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = ROOT / "configs"
 
 TWO_PI = 2 * math.pi
 
@@ -121,6 +124,15 @@ class TestExitCodes:
             rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
             assert rc == EXIT_CONFIG
             assert "n_samples must lie in [2, 16777216]" in capsys.readouterr().err
+
+    def test_zero_composite_budget_needs_power_of_two_samples(self, tmp_path, capsys):
+        cfg = tmp_path / "zeros.cfg"
+        cfg.write_text(COLD_BASE.replace("kind = white_fm", "kind = composite")
+                       .replace("n_samples = 8192", "n_samples = 1000"))
+        for subcommand in ("noise", "allan"):
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert "n must be a power of two" in capsys.readouterr().err
 
     def test_servo_steps_capped_before_any_array(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -293,6 +305,33 @@ class TestPhysicsThroughCli:
             assert key in text
 
 
+class TestBenchmarkReference:
+    """The `timeseries` outputs of the tiny benchmark scenarios, byte for byte."""
+
+    SCENARIOS = ROOT / "perfbench" / "scenarios" / "tiny" / "timeseries"
+    OUTPUTS = {
+        "servo": ("servo.cfg", ("servo_trace_locked.csv", "servo_trace_unlocked.csv",
+                                "servo_allan_locked.csv", "servo_allan_unlocked.csv")),
+        "noise": ("noise.cfg", ("timeseries.csv",)),
+        "allan": ("noise.cfg", ("allan.csv", "allan_classification.csv")),
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(OUTPUTS))
+    def test_body_digests_match_reference(self, subcommand, tmp_path):
+        reference = json.loads((ROOT / "perfbench" / "reference" / "tiny.json").read_text())
+        config, names = self.OUTPUTS[subcommand]
+        assert len(reference["timeseries"][subcommand]) == 16
+        for seed, digests in reference["timeseries"][subcommand].items():
+            out = tmp_path / seed
+            argv = [subcommand, "--config", str(self.SCENARIOS / config), "--seed", seed,
+                    "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            for name in names:
+                lines = (out / name).read_text().splitlines(keepends=True)
+                body = "".join(line for line in lines if not line.startswith("#"))
+                assert hashlib.sha256(body.encode()).hexdigest() == digests[name], (seed, name)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("subcommand", ["scan", "noise", "allan", "servo", "matched"])
     def test_rerun_byte_identical(self, subcommand, cold_config, tmp_path):
@@ -411,6 +450,21 @@ class TestWriteCsv:
         table = values.reshape(-1, 4)
         expected = "".join(",".join(f"{x:.12e}" for x in row) + "\n" for row in table.tolist())
         assert b"".join(cli._csv_blocks(table)) == expected.encode()
+
+    def test_zeros_take_the_fast_path(self, tmp_path, monkeypatch):
+        # a fallback value written with a wrong format shows; no zero does
+        monkeypatch.setattr(cli, "_PADDED_FORMAT", "%-23.11e")
+        assert b"".join(cli._csv_blocks(np.array([[1e-300]]))) != b"1.000000000000e-300\n"
+        rng = np.random.default_rng(3)
+        rows = np.zeros((CSV_BLOCK_ROWS + 5, 4))
+        rows[:, 1] = rng.choice([0.0, -0.0, 1.0, -2.5], rows.shape[0])
+        rows[:, 2] = -0.0
+        rows[::2, 3] = -0.0
+        for table in (rows, rows[:7, :1], rows[:7, 2:3]):  # and all-zero tables
+            columns = [f"c{i}" for i in range(table.shape[1])]
+            path = tmp_path / "out.csv"
+            write_csv(path, self.HEADER, columns, table)
+            assert path.read_bytes() == per_value_csv(self.HEADER, columns, table).encode()
 
     def test_scalar_format_matches_oracle(self):
         for x in _special_values(8, 4).ravel():

@@ -5,6 +5,7 @@ import pytest
 from scipy.signal import welch
 
 from rydfm.constants import E_CHARGE, H_PLANCK, C_LIGHT
+from rydfm import noise
 from rydfm.errors import InvariantViolation, UnsupportedKindError
 from rydfm.noise import (
     NoiseBudget,
@@ -21,6 +22,100 @@ def fitted_slope(values, dt):
     f, p = welch(values, fs=1.0 / dt, nperseg=4096)
     band = (f > 2.0) & (f < 100.0)
     return np.polyfit(np.log(f[band]), np.log(p[band]), 1)[0]
+
+
+def reference_powerlaw(kind, coefficient, n, dt, seed):
+    """Oracle: one component shaped on fresh arrays, as first written."""
+    if coefficient == 0.0:
+        return np.zeros(n)
+    white = noise._rng_for(seed, kind).standard_normal(n)
+    freqs = np.fft.rfftfreq(n, dt)
+    shaping = np.zeros_like(freqs)
+    shaping[1:] = np.sqrt(coefficient * freqs[1:] ** SPECTRAL_SLOPES[kind] * (1.0 / dt) / 2.0)
+    return np.fft.irfft(np.fft.rfft(white) * shaping, n)
+
+
+def reference_composite(budget, n, dt, seed):
+    """Oracle: a fresh sum over the components with a coefficient > 0."""
+    total = np.zeros(n)
+    for kind, coefficient in budget.items():
+        if coefficient > 0:
+            total = total + reference_powerlaw(kind, coefficient, n, dt, seed)
+    return total
+
+
+BUDGETS = {
+    "none": NoiseBudget(),
+    "one": NoiseBudget(white_fm=1e-22),
+    "all": NoiseBudget(white_pm=1e-24, flicker_pm=1e-24, white_fm=1e-22, rw_fm=1e-26),
+}
+
+
+class TestBitwiseOracle:
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("n", [2, 4, 4096])
+    @pytest.mark.parametrize("kind", sorted(SPECTRAL_SLOPES))
+    def test_powerlaw(self, kind, n, seed):
+        values = gen_powerlaw(kind, 1e-20, n, 1e-3, seed).values
+        assert values.tobytes() == reference_powerlaw(kind, 1e-20, n, 1e-3, seed).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    @pytest.mark.parametrize("n", [2, 4, 4096])
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_composite(self, budget, n, seed):
+        values = gen_composite(BUDGETS[budget], n, 2.5e-4, seed).values
+        assert values.tobytes() == reference_composite(BUDGETS[budget], n, 2.5e-4, seed).tobytes()
+
+
+class TestArgumentsCheckedFirst:
+    """A non-finite argument fails, naming it, before any series is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_synthesis(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("noise synthesized")
+
+        monkeypatch.setattr(noise, "_rng_for", no_rng)
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD + [-1.0])
+    def test_powerlaw_coefficient(self, value):
+        with pytest.raises(InvariantViolation, match="coefficient white_pm"):
+            gen_powerlaw("white_pm", value, 256, 1e-3, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD + [0.0])
+    def test_powerlaw_dt(self, value):
+        with pytest.raises(InvariantViolation, match="dt"):
+            gen_powerlaw("white_pm", 1.0, 256, value, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD)
+    def test_composite_coefficient(self, value):
+        budget = NoiseBudget(white_fm=1e-22)
+        budget.rw_fm = value  # set after the budget's own check
+        with pytest.raises(InvariantViolation, match="coefficient rw_fm"):
+            gen_composite(budget, 256, 1e-3, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD + [0.0])
+    def test_composite_dt(self, value):
+        with pytest.raises(InvariantViolation, match="dt"):
+            gen_composite(NoiseBudget(white_fm=1e-22), 256, value, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD + [-1.0])
+    def test_shot_photocurrent(self, value):
+        with pytest.raises(InvariantViolation, match="photocurrent"):
+            shot_noise_series(value, 1e-6, 256, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", BAD + [0.0])
+    def test_shot_dt(self, value):
+        with pytest.raises(InvariantViolation, match="dt"):
+            shot_noise_series(1e-6, value, 256, 1)
 
 
 class TestGenPowerlaw:
@@ -80,6 +175,11 @@ class TestComposite:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(InvariantViolation):
             NoiseBudget(white_fm=-1.0)
+
+    def test_zero_budget_n_must_be_power_of_two(self):
+        # checked like gen_powerlaw's n, although no component is drawn
+        with pytest.raises(InvariantViolation, match="power of two"):
+            gen_composite(NoiseBudget(), 1000, 1e-3, 1)
 
     @pytest.mark.parametrize("kind", sorted(SPECTRAL_SLOPES))
     @pytest.mark.parametrize("value", [math.nan, math.inf])
