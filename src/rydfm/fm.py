@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import (
     EvenHarmonicError,
@@ -32,6 +31,8 @@ BESSEL_CLOSURE_TOL = 1e-9
 
 def bessel_closure(beta: float, n_max: int) -> float:
     """Retained optical power sum_{|n|<=n_max} J_n(beta)^2 (exactly 1 at inf)."""
+    from scipy.special import jv  # ~0.3 s to import, so only where used
+
     orders = np.arange(-n_max, n_max + 1)
     return float(np.sum(jv(orders, beta) ** 2))
 
@@ -40,6 +41,19 @@ def _check_truncation(beta: float, n_max: int) -> None:
     """Raise unless orders -n_max..n_max keep 1 - 1e-9 of the power (NaN fails)."""
     if not (n_max >= 1):
         raise InvariantViolation("n_max must be >= 1")
+    # DLMF 10.14.4: |J_n(beta)| <= x^n / n! with x = |beta| / 2.  Past n_max
+    # consecutive bounds shrink by at most r = x / (n_max + 2), so the power
+    # outside the kept orders, 2 sum_{n > n_max} J_n^2, is at most
+    # 2 b^2 / (1 - r^2) with b = x^(n_max + 1) / (n_max + 1)!.  At a tenth of
+    # the tolerance the float closure passes with room to spare, so it need
+    # not be computed; NaN, inf and a loose bound take the exact path.  log b
+    # is capped at 0 so that exp cannot overflow (b >= 1 fails anyway).
+    x = abs(beta) / 2
+    if x < n_max + 2 < math.inf:
+        log_b = (n_max + 1) * math.log(x) - math.lgamma(n_max + 2) if x > 0 else -math.inf
+        dropped = 2 * math.exp(2 * min(log_b, 0.0)) / (1 - (x / (n_max + 2)) ** 2)
+        if dropped <= BESSEL_CLOSURE_TOL / 10:
+            return
     closure = bessel_closure(beta, n_max)
     if not (closure >= 1 - BESSEL_CLOSURE_TOL):
         raise TruncationError(
@@ -127,6 +141,8 @@ def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> Sideband
     Raises TruncationError when the retained power falls below
     1 - 1e-9 at the requested order cutoff.
     """
+    from scipy.special import jv  # ~0.3 s to import, so only where used
+
     _check_truncation(beta, n_max)
     orders = np.arange(-n_max, n_max + 1)
     return SidebandSet(orders=orders, amps=jv(orders, beta).astype(complex), omega_m=omega_m)
@@ -196,6 +212,8 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
 
 def _ram_amplitude(p: RamParams, n: int) -> float:
     """-e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M), the RAM factor of sin(dphi_n + dphi_dc)."""
+    from scipy.special import jv  # ~0.3 s to import, so only where used
+
     return -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle) * float(jv(n, p.m_diff))
 
 

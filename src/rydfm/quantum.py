@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import A0, CS_MASS, E_CHARGE, EPS0, HBAR, KB
 from .errors import (
@@ -335,6 +334,8 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
     real-line integral: Z = i s sqrt(pi) w(s zeta) with s = sign(Im zeta)
     and w the Faddeeva function.
     """
+    from scipy.special import wofz  # ~0.3 s to import, so only where used
+
     z = -1.0 / lam
     zeta = z / (math.sqrt(2.0) * sigma)
     s = np.where(zeta.imag >= 0, 1.0, -1.0)

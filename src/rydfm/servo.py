@@ -154,13 +154,14 @@ def run_servo(
     if not (duration > 10 * gains.dt):
         raise InvariantViolation("duration must exceed 10 control periods")
     base = ram if ram is not None else RamParams()
+    # before the arrays exist: the first call imports scipy.special
+    amp = _ram_amplitude(base, 1)
     n = int(round(duration / gains.dt))
     t = np.arange(n) * gains.dt
     phi_n = np.asarray(drift(t), dtype=float)
     if not np.all(np.isfinite(phi_n)):
         raise InvariantViolation("drift samples must be finite")
 
-    amp = _ram_amplitude(base, 1)
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     i_clamp, u_clamp = gains.integrator_clamp, gains.output_clamp
     # pid_step's arithmetic, inlined, with each min(max(v, -c), c) written as

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import jv
 
 from conftest import asymmetric_medium, bessel_series, symmetric_medium
+from rydfm import fm
 from rydfm.errors import (
     EvenHarmonicError,
     InvariantViolation,
@@ -15,9 +16,11 @@ from rydfm.errors import (
     TruncationError,
 )
 from rydfm.fm import (
+    BESSEL_CLOSURE_TOL,
     FmConfig,
     RamParams,
     SidebandSet,
+    _check_truncation,
     apply_ram,
     bessel_closure,
     dc_power,
@@ -110,6 +113,80 @@ class TestSidebands:
         for value in (math.nan, math.inf):
             with pytest.raises(InvariantViolation, match=field):
                 FmConfig(**{field: value})
+
+
+def closure_crossing(n_max: int) -> float:
+    """The beta > 0 where the float closure crosses 1 - BESSEL_CLOSURE_TOL, by bisection."""
+    lo, hi = 0.0, n_max + 2.0
+    assert bessel_closure(hi, n_max) < 1 - BESSEL_CLOSURE_TOL
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if bessel_closure(mid, n_max) >= 1 - BESSEL_CLOSURE_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def truncation_cases(n_max: int) -> list[float]:
+    """Betas on a grid, around the closure crossing, and the non-finite edge cases."""
+    crossing = closure_crossing(n_max)
+    near = [np.nextafter(crossing, sign * np.inf) for sign in (-1, 1)]
+    near += [np.nextafter(near[0], 0.0), np.nextafter(near[1], np.inf)]
+    betas = [0.0, crossing, *near, *(crossing * np.linspace(0.5, 1.5, 61))]
+    betas += list(np.geomspace(1e-6, 1e2, 25))
+    betas += [-b for b in betas]
+    return betas + [math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def dropped_power(beta: float, n_max: int) -> float:
+    """2 sum_{n > n_max} J_n(beta)^2, summed directly from the tail orders."""
+    return float(2 * np.sum(jv(np.arange(n_max + 1, n_max + 60), beta) ** 2))
+
+
+class TestTruncationCheck:
+    """The scipy-free bound in _check_truncation against the exact closure."""
+
+    @pytest.mark.parametrize("n_max", range(1, 41))
+    def test_same_decision_and_message_as_exact_closure(self, n_max, monkeypatch):
+        exact = fm.bessel_closure
+        calls = []
+        monkeypatch.setattr(fm, "bessel_closure", lambda b, n: calls.append(b) or exact(b, n))
+        crossing = closure_crossing(n_max)
+        for beta in truncation_cases(n_max):
+            calls.clear()
+            closure = exact(beta, n_max)
+            if closure >= 1 - BESSEL_CLOSURE_TOL:
+                _check_truncation(beta, n_max)
+            else:
+                with pytest.raises(TruncationError) as info:
+                    _check_truncation(beta, n_max)
+                assert str(info.value) == (
+                    f"sideband truncation keeps {closure:.12f} of the power at "
+                    f"n_max = {n_max}, beta = {beta}"
+                )
+            if not calls:  # decided by the bound alone, which must be rigorous
+                assert dropped_power(beta, n_max) <= BESSEL_CLOSURE_TOL / 10, beta
+            elif abs(beta) <= crossing / 2:  # and not so loose that it rarely decides
+                raise AssertionError(f"bound undecided at beta = {beta}")
+
+    @pytest.mark.parametrize("beta", [1000.0, 1990.0, 2003.0, 2100.0])
+    def test_large_orders_near_the_ratio_limit(self, beta):
+        # x = beta / 2 approaches n_max + 2, where b alone would overflow
+        n_max = 1000
+        if bessel_closure(beta, n_max) >= 1 - BESSEL_CLOSURE_TOL:
+            _check_truncation(beta, n_max)
+        else:
+            with pytest.raises(TruncationError):
+                _check_truncation(beta, n_max)
+
+    def test_defaults_skip_the_exact_closure(self, monkeypatch):
+        def fail(beta, n_max):
+            raise AssertionError("bessel_closure called")
+
+        monkeypatch.setattr(fm, "bessel_closure", fail)
+        FmConfig()
+        with pytest.raises(AssertionError):
+            FmConfig(beta=2.0, n_max=1)
 
 
 class TestPropagate:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
+from scipy.special import wofz
 
 from rydfm import quantum
 from rydfm.errors import (
@@ -312,6 +313,53 @@ class TestBatchedKernel:
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
         with pytest.raises(InvariantViolation, match="finite"):
             susceptibility_batch(cold_system, drive, np.array([0.0, math.nan]))
+
+
+def weak_probe_average(sys, drive, delta_p):
+    """Maxwell average of the weak-probe ladder rho21 with the RF off.
+
+    rho21(v) = (i Omega_p / 2) / (gamma21 - i d2 + (Omega_c^2 / 4) / (gamma31 - i d3))
+    with d2 = delta_p - k_p v and d3 = d2 + delta_c + k_c v, gamma21 = Gamma2 / 2
+    and gamma31 = Gamma3 / 2 + gamma_deph.  As N(v) / D(v) with D quadratic in
+    v it has two simple poles v_k; <1 / (v - v_k)> over a Gaussian of standard
+    deviation sigma is Z(zeta_k) / (sqrt(2) sigma), Z the plasma-dispersion
+    function, so the average is two Faddeeva terms (Gea-Banacloche et al.,
+    PRA 51, 576 (1995)).  No code is shared with the Woodbury/eig expansion.
+    """
+    kp, kc = sys.k_probe, sys.k_coupling
+    gamma21 = sys.gamma2 / 2
+    gamma31 = sys.gamma3 / 2 + sys.gamma_deph
+    out = []
+    for dp in np.atleast_1d(delta_p):
+        # the two factors of D as a + b v, and N(v) = (i Omega_p / 2) (a3 + b3 v)
+        a2, b2 = gamma21 - 1j * dp, 1j * kp
+        a3, b3 = gamma31 - 1j * (dp + drive.delta_c), -1j * (kc - kp)
+        quad = np.array([b2 * b3, a2 * b3 + a3 * b2, a2 * a3 + drive.omega_c ** 2 / 4])
+        total = 0.0
+        for v_k in np.roots(quad):
+            residue = 0.5j * drive.omega_p * (a3 + b3 * v_k) / (2 * quad[0] * v_k + quad[1])
+            zeta = v_k / (math.sqrt(2) * sys.v_thermal)
+            s = 1.0 if zeta.imag >= 0 else -1.0
+            plasma = 1j * s * math.sqrt(math.pi) * wofz(s * zeta)
+            total += residue * plasma / (math.sqrt(2) * sys.v_thermal)
+        out.append(total)
+    return np.array(out)
+
+
+class TestWeakProbeOracle:
+    def test_error_scales_as_probe_rabi_squared(self, warm_system, default_drive):
+        # the default warm coupling (7 MHz, +1 MHz detuned) with the RF off;
+        # the oracle is first order in Omega_p, so the relative error of the
+        # full steady state against it falls 100x per decade of Omega_p
+        delta_p = TWO_PI * np.linspace(-30e6, 30e6, 13)
+        errors = []
+        for omega_p in TWO_PI * np.array([0.5e6, 0.05e6, 0.005e6]):
+            drive = replace(default_drive, omega_p=omega_p, omega_rf=0.0)
+            full = quantum._mean_rho21(warm_system, drive, delta_p, 0.0)
+            oracle = weak_probe_average(warm_system, drive, delta_p)
+            errors.append(np.max(np.abs(full - oracle)) / np.max(np.abs(oracle)))
+        ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+        assert all(80 < r < 125 for r in ratios), (errors, ratios)
 
 
 class TestSusceptibility:
