@@ -76,6 +76,8 @@ class FmConfig:
             raise InvariantViolation("omega_m must be finite and > 0")
         if not math.isfinite(self.lo_phase):
             raise InvariantViolation("lo_phase must be finite")
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
+            raise InvariantViolation(f"n_max must be an integer, got {self.n_max!r}")
         _check_truncation(self.beta, self.n_max)
 
 

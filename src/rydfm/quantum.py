@@ -238,13 +238,13 @@ def build_liouvillian(h: np.ndarray, sys: LadderSystem) -> np.ndarray:
     return commutator + _dissipator(sys)
 
 
-def _trace_solve(lam: np.ndarray, extra_rhs: np.ndarray | None = None) -> np.ndarray:
+def _trace_solve(lam: np.ndarray, unit_cols=()) -> np.ndarray:
     """Trace-1 steady state of one Liouvillian or a stack of them.
 
     Each generator is normalized by its largest entry and its redundant
     row 0 is replaced by the trace constraint; the solve returns the
     steady state as column 0 (residual checked to 1e-10) followed by the
-    solutions for the columns of `extra_rhs` (16 x m), if given.
+    solutions for the unit vectors e_j, j in `unit_cols`.
     """
     scale = np.max(np.abs(lam), axis=(-2, -1), keepdims=True)
     if np.any(scale == 0.0):
@@ -252,10 +252,7 @@ def _trace_solve(lam: np.ndarray, extra_rhs: np.ndarray | None = None) -> np.nda
     a = lam / scale
     a[..., 0, :] = 0.0
     a[..., 0, _TRACE_IDX] = 1.0
-    rhs = np.zeros((16, 1), dtype=complex)
-    rhs[0] = 1.0
-    if extra_rhs is not None:
-        rhs = np.hstack([rhs, extra_rhs])
+    rhs = np.eye(16, dtype=complex)[:, [0, *unit_cols]]
     try:
         sol = np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
     except np.linalg.LinAlgError as exc:
@@ -318,10 +315,9 @@ def _steady_rho21_many(lam: np.ndarray) -> np.ndarray:
 # --- batched, Doppler-averaged operating points ------------------------------
 
 SELF_CHECK_TOL = 1e-8
-# Operating points per stacked solve.  Bounds the working set: a few copies
-# of CHUNK 16x16 complex matrices (128 KB each).  Stacks of 64 or 128
-# were no faster on warm scans, a few percent faster on long cold scans,
-# and raised the peak memory in proportion.
+# Warm operating points per stacked solve.  Bounds the working set: a few
+# copies of CHUNK 16x16 complex matrices (128 KB each); stacks of 64 or 128
+# were no faster.  A cold scan checks every CHUNK-th point by a direct solve.
 CHUNK = 32
 _CHECK_VELOCITIES = np.array([0.0, -1.0, 1.0, -3.0, 3.0])   # in units of sigma
 
@@ -343,6 +339,53 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
     return -z * (1.0 + zeta * plasma)
 
 
+def _pole_form(lam: np.ndarray, direction: np.ndarray):
+    """rho21 of lam + x diag(direction) as c0 - sum_k alpha_k x / (1 + lambda_k x).
+
+    x moves the trace-constrained A(x) = A0 + x D only on the coherences P
+    where `direction` is nonzero, so Woodbury on that block and one `eig`
+    of K = D_P A0^-1[P, P] give c0, alpha, lambda and K's eigenvectors.
+    """
+    moving = np.flatnonzero(direction)
+    sol = _trace_solve(lam, moving)
+    x0, inv_cols = sol[..., 0], sol[..., 1:]
+    # same per-matrix normalization as A0 in _trace_solve
+    d_p = direction[moving] / np.max(np.abs(lam), axis=(-2, -1))[..., None]
+    poles, vecs = np.linalg.eig(d_p[..., :, None] * inv_cols[..., moving, :])
+    weights = np.linalg.solve(vecs, (d_p * x0[..., moving])[..., None])[..., 0]
+    alpha = (inv_cols[..., None, _RHO21_IDX, :] @ vecs)[..., 0, :] * weights
+    return x0[..., _RHO21_IDX], alpha, poles, vecs
+
+
+def _self_check(rational, direct, delta_p, delta_rf, vecs, expansion: str) -> None:
+    """Raise `NonConvergenceError` where a row of `rational` misses `direct`.
+
+    A row fails when its largest mismatch exceeds `SELF_CHECK_TOL` times its
+    largest |direct| (NaN fails); the message names the worst row's
+    detunings and cond(vecs[row]), the conditioning of its eigenbasis.
+    """
+    mismatch = np.max(np.abs(rational - direct), axis=-1)
+    scale = np.max(np.abs(direct), axis=-1)
+    ok = mismatch <= SELF_CHECK_TOL * scale
+    if np.all(ok):
+        return
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(ok, 0.0, np.nan_to_num(mismatch / scale, nan=np.inf))
+    worst = int(np.argmax(rel))
+    p_hz, rf_hz = delta_p[worst] / (2 * math.pi), delta_rf[worst] / (2 * math.pi)
+    raise NonConvergenceError(
+        f"{expansion}-pole expansion misses direct solves by {rel[worst]:.3e} relative "
+        f"(tolerance {SELF_CHECK_TOL:g}) at probe detuning {p_hz:.6g} Hz, RF detuning "
+        f"{rf_hz:.6g} Hz; cond(eigenvectors) = {np.linalg.cond(vecs[worst]):.3e}"
+    )
+
+
+def _detuned(base: np.ndarray, delta_p, delta_rf) -> np.ndarray:
+    """`base` (built at zero probe and RF detuning) at each operating point."""
+    return _with_diagonal(base, np.multiply.outer(delta_p, _PROBE_DIAGONAL)
+                          + np.multiply.outer(delta_rf, _RF_DIAGONAL))
+
+
 def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf) -> np.ndarray:
     """Maxwell-Boltzmann averaged probe coherence at a batch of operating points.
 
@@ -350,8 +393,8 @@ def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf) -> np.n
     and take their probe and RF detunings from `delta_p` and `delta_rf`
     (broadcast together; the result has their shape).  The Liouvillian is
     built once; each point is that matrix plus a diagonal, since the
-    diagonal is affine in delta_p, delta_rf and v.  Points are solved in
-    stacks of `CHUNK`.
+    diagonal is affine in delta_p, delta_rf and v.  A warm cell is solved
+    in stacks of `CHUNK` points, a cold one a fixed detuning at a time.
     """
     delta_p, delta_rf = np.broadcast_arrays(
         np.asarray(delta_p, dtype=float), np.asarray(delta_rf, dtype=float)
@@ -361,78 +404,69 @@ def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf) -> np.n
     reference = replace(drive, delta_p=0.0, delta_rf=0.0)
     base = build_liouvillian(build_hamiltonian(sys, reference), sys)
     probe, rf = delta_p.ravel(), delta_rf.ravel()
+    if sys.v_thermal < V_THERMAL_FLOOR:
+        return _cold_rho21(base, probe, rf).reshape(delta_p.shape)
     out = np.empty(probe.size, dtype=complex)
     for start in range(0, probe.size, CHUNK):
         chunk = slice(start, start + CHUNK)
-        out[chunk] = _chunk_rho21(sys, base, probe[chunk], rf[chunk])
+        out[chunk] = _warm_rho21(sys, base, probe[chunk], rf[chunk])
     return out.reshape(delta_p.shape)
 
 
-def _chunk_rho21(
+def _warm_rho21(
     sys: LadderSystem, base: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray
 ) -> np.ndarray:
-    """<rho21> for one stack of operating points built on `base`.
+    """<rho21> for one stack of warm operating points.
 
-    Below `V_THERMAL_FLOOR` the distribution is a delta function and the
-    result is the v = 0 solve.  Otherwise the velocity enters the
-    trace-constrained system only through a diagonal, A(v) = A0 + v D,
-    nonzero on the 10 v-dependent coherences.  Woodbury on that block and
-    one eigendecomposition of K = D_P A0^-1[P, P] turn rho21 into the
-    rational function rho21(v) = c0 - sum_k alpha_k v / (1 + lambda_k v),
-    whose pole terms average in closed form to the plasma-dispersion
-    (Faddeeva) function.
-
-    Raises
-    ------
-    NonConvergenceError
-        If at any point the rational form disagrees with direct solves at
-        v = 0, +-sigma and +-3 sigma by more than `SELF_CHECK_TOL` relative
-        (the eigenbasis is too ill-conditioned to trust); the message names
-        the worst point's probe detuning.
+    Along `_velocity_diagonal` rho21(v) is rational (`_pole_form`), and its
+    pole terms average to the plasma-dispersion function.  Direct solves at
+    v = 0, +-sigma and +-3 sigma check every point.
     """
-    offsets = np.outer(delta_p, _PROBE_DIAGONAL) + np.outer(delta_rf, _RF_DIAGONAL)
-    lam = _with_diagonal(base, offsets)
-    sigma = sys.v_thermal
-    if sigma < V_THERMAL_FLOOR:
-        return _steady_rho21_many(lam)
-
+    lam = _detuned(base, delta_p, delta_rf)
     d_v = _velocity_diagonal(sys)
-    moving = np.flatnonzero(d_v)                       # the v-dependent coherences
-    sol = _trace_solve(lam, np.eye(16)[:, moving])
-    x0, inv_cols = sol[..., 0], sol[..., 1:]
-    # same per-point normalization as A0 in _trace_solve
-    d_p = d_v[moving] / np.max(np.abs(lam), axis=(-2, -1))[:, None]
-    poles, vecs = np.linalg.eig(d_p[:, :, None] * inv_cols[:, moving, :])
-    weights = np.linalg.solve(vecs, (d_p * x0[:, moving])[..., None])[..., 0]
-    alpha = (inv_cols[:, None, _RHO21_IDX, :] @ vecs)[:, 0] * weights
-    c0 = x0[:, _RHO21_IDX]
-
-    probe_v = sigma * _CHECK_VELOCITIES
+    c0, alpha, poles, vecs = _pole_form(lam, d_v)
+    probe_v = sys.v_thermal * _CHECK_VELOCITIES
     terms = alpha[:, None, :] * probe_v[:, None] / (1.0 + poles[:, None, :] * probe_v[:, None])
     rational = c0[:, None] - terms.sum(axis=-1)
-    direct = np.stack(
-        [_steady_rho21_many(_with_diagonal(base, offsets + v * d_v)) for v in probe_v], axis=1
-    )
-    mismatch = np.max(np.abs(rational - direct), axis=1)
-    scale = np.max(np.abs(direct), axis=1)
-    ok = mismatch <= SELF_CHECK_TOL * scale
-    if not np.all(ok):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(ok, 0.0, np.nan_to_num(mismatch / scale, nan=np.inf))
-        worst = int(np.argmax(rel))
-        raise NonConvergenceError(
-            f"velocity-pole expansion misses direct solves by {rel[worst]:.3e} relative "
-            f"(tolerance {SELF_CHECK_TOL:g}) at probe detuning "
-            f"{delta_p[worst] / (2 * math.pi):.6g} Hz; cond(eigenvectors) = "
-            f"{np.linalg.cond(vecs[worst]):.3e}"
-        )
-    return c0 - np.sum(alpha * _mean_pole_term(poles, sigma), axis=-1)
+    direct = np.stack([_steady_rho21_many(_with_diagonal(lam, v * d_v)) for v in probe_v], axis=1)
+    _self_check(rational, direct, delta_p, delta_rf, vecs, "velocity")
+    return c0 - np.sum(alpha * _mean_pole_term(poles, sys.v_thermal), axis=-1)
+
+
+def _cold_rho21(base: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray) -> np.ndarray:
+    """rho21 of a Doppler-free cell (the v = 0 steady state) at every point.
+
+    Grouped by whichever of delta_rf and delta_p has fewer distinct values,
+    the other moves the Liouvillian along its diagonal, so one `_pole_form`
+    about a point of a group serves all of it.  Direct solves check every
+    `CHUNK`-th point of a group, its last point and its largest |rho21|.
+    """
+    fixed, along, direction = ((delta_rf, delta_p, _PROBE_DIAGONAL)
+                               if np.unique(delta_rf).size <= np.unique(delta_p).size
+                               else (delta_p, delta_rf, _RF_DIAGONAL))
+    order = np.argsort(fixed, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(fixed[order])) + 1) if order.size else []
+    out = np.empty(delta_p.size, dtype=complex)
+    for idx in groups:
+        ref = idx[idx.size // 2]
+        c0, alpha, poles, vecs = _pole_form(_detuned(base, delta_p[ref], delta_rf[ref]), direction)
+        x = along[idx] - along[ref]
+        # one pole at a time, so the work arrays stay the size of the group
+        out[idx] = rational = c0 - sum(a * x / (1.0 + lam * x) for a, lam in zip(alpha, poles))
+        last, largest = idx.size - 1, np.argmax(np.abs(rational))
+        check = np.unique(np.r_[np.arange(0, idx.size, CHUNK), last, largest])
+        pts = idx[check]
+        direct = np.concatenate([_steady_rho21_many(_detuned(base, delta_p[s], delta_rf[s]))
+                                 for s in np.array_split(pts, -(-pts.size // CHUNK))])
+        _self_check(rational[check, None], direct[:, None], delta_p[pts], delta_rf[pts],
+                    np.broadcast_to(vecs, (pts.size,) + vecs.shape), "detuning")
+    return out
 
 
 def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
     """Exact Maxwell-Boltzmann average of the steady-state probe coherence.
 
-    A size-1 call of the batched kernel; see `_chunk_rho21` for the
+    A size-1 call of the batched kernel; see `_warm_rho21` for the
     velocity-pole expansion and its self-check.
     """
     return complex(_mean_rho21(sys, drive, drive.delta_p, drive.delta_rf))

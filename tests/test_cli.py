@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rydfm import cli, scenario
+from rydfm import cli, quantum, scenario
 from rydfm.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, write_csv
 from rydfm.scenario import ScanOpts
 
@@ -81,6 +81,13 @@ class TestExitCodes:
         rc = main(["sensitivity", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert "derivative" in capsys.readouterr().err
+
+    def test_cold_self_check_failure_is_numeric(self, cold_config, tmp_path, capsys, monkeypatch):
+        direct = quantum._steady_rho21_many
+        monkeypatch.setattr(quantum, "_steady_rho21_many", lambda lam: direct(lam) * (1 + 1e-6))
+        rc = main(["atcal", "--config", str(cold_config), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        assert "detuning-pole expansion misses direct solves" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("step_hz", "1e-6"), ("e_step", "1e-12")])
     def test_oversized_grid_is_a_config_error(self, key, value, tmp_path, capsys, monkeypatch):

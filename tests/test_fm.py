@@ -616,3 +616,11 @@ class TestFmConfig:
         with pytest.raises(InvariantViolation):
             FmConfig(n_max=0)
 
+    @pytest.mark.parametrize("n_max", [8.5, True])
+    def test_non_integer_n_max_rejected(self, n_max):
+        with pytest.raises(InvariantViolation, match="n_max must be an integer"):
+            FmConfig(n_max=n_max)
+
+    def test_numpy_integer_n_max_accepted(self):
+        assert FmConfig(n_max=np.int64(8)).n_max == 8
+

@@ -7,6 +7,7 @@ from scipy.signal import find_peaks
 from scipy.special import wofz
 
 from rydfm import quantum
+from rydfm.constants import HBAR
 from rydfm.errors import (
     InvariantViolation,
     NonConvergenceError,
@@ -250,7 +251,7 @@ def pole_expansion_oracle(sys, drive):
     base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
     d_v = quantum._velocity_diagonal(sys)
     moving = np.flatnonzero(d_v)
-    sol = quantum._trace_solve(base, np.eye(16)[:, moving])
+    sol = quantum._trace_solve(base, moving)
     x0, inv_cols = sol[:, 0], sol[:, 1:]
     d_p = d_v[moving] / np.max(np.abs(base))
     poles, vecs = np.linalg.eig(d_p[:, None] * inv_cols[moving, :])
@@ -266,6 +267,21 @@ def random_detunings(n, seed):
 
 def max_rel_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)) / np.abs(b)))
+
+
+# the cold drive of configs/at_calibration.cfg, RF off
+ATCAL_DRIVE = FieldDrive(omega_p=2.5132741228718345e6, omega_c=7.5398223686155035e6)
+
+
+def per_point_rho21(sys, drive, delta_p, delta_rf):
+    """rho21 of `steady_state` on a Liouvillian assembled afresh at each point."""
+    dissipator = build_liouvillian(np.zeros((4, 4)), sys)
+    eye = np.eye(4)
+    out = []
+    for p, r in zip(np.ravel(delta_p), np.ravel(np.broadcast_to(delta_rf, np.shape(delta_p)))):
+        h = build_hamiltonian(sys, replace(drive, delta_p=p, delta_rf=r))
+        out.append(steady_state(dissipator - 1j * (np.kron(h, eye) - np.kron(eye, h.T))).rho21)
+    return np.reshape(out, np.shape(delta_p))
 
 
 class TestBatchedKernel:
@@ -308,6 +324,58 @@ class TestBatchedKernel:
         drive = replace(default_drive, delta_p=TWO_PI * 3e6, delta_rf=TWO_PI * 1e6)
         assert susceptibility(warm_system, drive) == susceptibility_batch(
             warm_system, replace(drive, delta_rf=0.0), [drive.delta_p], [drive.delta_rf])[0]
+
+    @pytest.mark.parametrize("e_rf", [0.0, 0.9, 2.7])
+    def test_cold_probe_scan_through_the_doublet(self, cold_system, e_rf):
+        # one RF detuning: a single group, expanded along the probe detuning
+        drive = replace(ATCAL_DRIVE, omega_rf=cold_system.mu_rf * e_rf / HBAR)
+        grid = TWO_PI * np.linspace(-35e6, 35e6, 1401)
+        batch = quantum._mean_rho21(cold_system, drive, grid, 0.0)
+        assert max_rel_diff(batch, per_point_rho21(cold_system, drive, grid, 0.0)) <= 1e-12
+
+    def test_cold_probe_by_rf_grid(self, cold_system, monkeypatch):
+        # 17 probe detunings x 121 RF detunings: 17 groups, expanded along delta_rf
+        drive = replace(ATCAL_DRIVE, omega_rf=cold_system.mu_rf * 1.8 / HBAR)
+        probe = TWO_PI * (2e6 + 10e6 * np.arange(-8, 9))[:, None]
+        rf = TWO_PI * np.linspace(-6e6, 6e6, 121)[None, :]
+        expansions = []
+        pole_form = quantum._pole_form
+        monkeypatch.setattr(quantum, "_pole_form", lambda *a: expansions.append(1) or pole_form(*a))
+        batch = quantum._mean_rho21(cold_system, drive, probe, rf)
+        assert batch.shape == (17, 121) and len(expansions) == 17
+        oracle = per_point_rho21(cold_system, drive, *np.broadcast_arrays(probe, rf))
+        assert max_rel_diff(batch, oracle) <= 1e-12
+
+    def test_cold_self_check_catches_mismatch(self, cold_system, monkeypatch):
+        direct = quantum._steady_rho21_many
+
+        def perturbed(lam):
+            out = direct(lam)
+            out[:-1] *= 1 + 1e-7
+            out[-1] *= 1 + 1e-6      # the group's last point, +5 MHz, is checked last
+            return out
+
+        monkeypatch.setattr(quantum, "_steady_rho21_many", perturbed)
+        grid = TWO_PI * np.array([-10e6, -5e6, 0.0, 5e6])
+        with pytest.raises(NonConvergenceError, match=r"at probe detuning 5e\+06 Hz.*cond"):
+            quantum._mean_rho21(cold_system, ATCAL_DRIVE, grid, 0.0)
+
+    def test_cold_self_check_fails_on_nan(self, cold_system, monkeypatch):
+        direct = quantum._steady_rho21_many
+
+        def poisoned(lam):
+            out = direct(lam)
+            out[0] = math.nan
+            return out
+
+        monkeypatch.setattr(quantum, "_steady_rho21_many", poisoned)
+        with pytest.raises(NonConvergenceError, match="cond"):
+            quantum._mean_rho21(cold_system, ATCAL_DRIVE, TWO_PI * np.linspace(-35e6, 35e6, 1401), 0.0)
+
+    @pytest.mark.parametrize("system", ["cold_system", "warm_system"])
+    def test_empty_batch(self, system, default_drive, request):
+        sys = request.getfixturevalue(system)
+        assert quantum._mean_rho21(sys, default_drive, np.empty((0, 3)), 0.0).shape == (0, 3)
 
     def test_nonfinite_detuning_rejected(self, cold_system):
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
