@@ -51,7 +51,6 @@ from .scenario import Scenario, load_scenario, parse_scenario
 from .servo import (
     PidGains,
     ServoTrace,
-    demod_error,
     pid_step,
     run_servo,
     ziegler_nichols_gains,
@@ -81,7 +80,7 @@ __all__ = [
     "build_liouvillian", "cs_vapor_density", "doppler_average",
     "steady_state", "susceptibility", "susceptibility_batch",
     "Scenario", "load_scenario", "parse_scenario",
-    "PidGains", "ServoTrace", "demod_error", "pid_step", "run_servo",
+    "PidGains", "ServoTrace", "pid_step", "run_servo",
     "ziegler_nichols_gains",
     "AtResult", "MediumSpectrum", "at_splitting", "field_from_splitting",
     "rabi_from_power", "scan_probe", "splitting_from_field",

@@ -22,7 +22,6 @@ import platform
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,16 +38,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    seed: int
-    versions: dict
-    started: str
-    finished: str
-    outputs: list[str]
 
 
 _FLOAT_FORMAT = "%.12e"  # `_FLOAT_FORMAT % x` gives the bytes of f"{x:.12e}"
@@ -181,15 +170,11 @@ def _header(scn: Scenario, seed: int) -> dict:
     return {"config_hash": scn.config_hash(), "seed": seed}
 
 
-def _out_path(outdir: Path, name: str) -> Path:
-    return outdir / name
-
-
 # --- subcommand implementations ----------------------------------------------
 
 def run_scan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     spec = spectroscopy.scan_probe(scn.system, scn.drive, scn.scan.probe_grid_rad_s())
-    path = _out_path(outdir, "spectrum.csv")
+    path = outdir / "spectrum.csv"
     write_csv(
         path,
         _header(scn, seed),
@@ -204,7 +189,7 @@ def run_fmscan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     ram = scn.ram if scn.apply_ram else None
     inphase, quadrature = pipelines.fm_probe_scan(scn.system, scn.drive, scn.fm, grid, ram=ram)
     rows = np.column_stack([grid / (2 * math.pi), inphase, quadrature])
-    path = _out_path(outdir, "fm_spectrum.csv")
+    path = outdir / "fm_spectrum.csv"
     write_csv(path, _header(scn, seed), ["detuning_hz", "signal_inphase", "signal_quadrature"], rows)
     return [path]
 
@@ -218,7 +203,7 @@ def run_atcal(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         split_linear = spectroscopy.splitting_from_field(e_rf, scn.system.mu_rf)
         split_sim = at.split_hz if at.split_hz is not None else float("nan")
         rows.append([e_rf, split_sim, split_linear, 1.0 if at.confidence == "resolved" else 0.0])
-    path = _out_path(outdir, "at_calibration.csv")
+    path = outdir / "at_calibration.csv"
     write_csv(
         path,
         _header(scn, seed),
@@ -247,7 +232,7 @@ def run_servo(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         trace = servo.run_servo(drift, scn.gains, scn.servo.duration_s, ram=scn.ram, lock=lock)
         traces[label] = trace
         rows = np.column_stack([trace.time, trace.dphi_n, trace.dphi_dc, trace.error])
-        path = _out_path(outdir, f"servo_trace_{label}.csv")
+        path = outdir / f"servo_trace_{label}.csv"
         write_csv(path, header, ["time_s", "dphi_n_rad", "dphi_dc_rad", "error"], rows)
         outputs.append(path)
     for label, trace in traces.items():
@@ -255,7 +240,7 @@ def run_servo(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         taus = analysis.octave_taus(ts)
         result = analysis.allan_deviation(ts, taus)
         rows = np.column_stack([result.taus, result.sigma_y, result.counts])
-        path = _out_path(outdir, f"servo_allan_{label}.csv")
+        path = outdir / f"servo_allan_{label}.csv"
         write_csv(path, header, ["tau_s", "sigma_y", "n_bins"], rows)
         outputs.append(path)
     return outputs
@@ -274,7 +259,7 @@ def run_noise(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     series = _make_series(scn, seed)
     header = _header(scn, seed) | {"kind": series.kind, "dt_s": series.dt}
     rows = np.column_stack([series.time, series.values])
-    path = _out_path(outdir, "timeseries.csv")
+    path = outdir / "timeseries.csv"
     write_csv(path, header, ["time_s", "value"], rows)
     return [path]
 
@@ -284,7 +269,7 @@ def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     taus = analysis.octave_taus(series)
     result = analysis.allan_deviation(series, taus)
     header = _header(scn, seed) | {"kind": series.kind, "estimator": result.estimator}
-    path = _out_path(outdir, "allan.csv")
+    path = outdir / "allan.csv"
     write_csv(
         path,
         header,
@@ -298,7 +283,7 @@ def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         lines.append(
             f"{_fmt(lab.tau_lo)},{_fmt(lab.tau_hi)},{_fmt(lab.slope)},{lab.label},{int(lab.ambiguous)}"
         )
-    cpath = _out_path(outdir, "allan_classification.csv")
+    cpath = outdir / "allan_classification.csv"
     _atomic_write(cpath, lines)
     outputs.append(cpath)
     return outputs
@@ -316,7 +301,7 @@ def run_matched(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     in_valid = np.zeros(grid_hz.size)
     in_valid[filtered.valid] = 1.0
     rows = np.column_stack([grid_hz, signal, filtered.values, in_valid])
-    path = _out_path(outdir, "matched.csv")
+    path = outdir / "matched.csv"
     write_csv(path, _header(scn, seed), ["freq_hz", "raw", "filtered", "in_valid_region"], rows)
     return [path]
 
@@ -334,7 +319,7 @@ def run_sensitivity(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         f"projection_limit_v_per_m_sqrt_hz = {_fmt(report.projection_limit_value)}",
         f"e_operating_v_per_m = {_fmt(scn.scan.e_operating)}",
     ]
-    path = _out_path(outdir, "sensitivity.txt")
+    path = outdir / "sensitivity.txt"
     _atomic_write(path, lines)
     return [path]
 
@@ -351,33 +336,24 @@ _RUNNERS = {
 }
 
 
-def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> RunManifest:
+def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> None:
     """Execute one subcommand and write its manifest."""
     started = datetime.now(timezone.utc).isoformat()
     outputs = _RUNNERS[subcommand](scn, seed, outdir)
-    finished = datetime.now(timezone.utc).isoformat()
-    manifest = RunManifest(
-        config_hash=scn.config_hash(),
-        seed=seed,
-        versions={
-            "rydfm": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-        started=started,
-        finished=finished,
-        outputs=[str(p) for p in outputs],
-    )
+    versions = {
+        "rydfm": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+    }
     lines = [
-        f"config_hash = {manifest.config_hash}",
-        f"seed = {manifest.seed}",
-        f"versions = {manifest.versions}",
-        f"started = {manifest.started}",
-        f"finished = {manifest.finished}",
-    ] + [f"output = {p}" for p in manifest.outputs]
+        f"config_hash = {scn.config_hash()}",
+        f"seed = {seed}",
+        f"versions = {versions}",
+        f"started = {started}",
+        f"finished = {datetime.now(timezone.utc).isoformat()}",
+    ] + [f"output = {p}" for p in outputs]
     _atomic_write(outdir / f"manifest_{subcommand}.txt", lines)
-    return manifest
 
 
 @functools.cache

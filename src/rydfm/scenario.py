@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import pipelines
 from .analysis import DetectorModel
-from .constants import HBAR
 from .errors import InvariantViolation, ParseError, UnknownKeyError
 from .fm import FmConfig, RamParams, index_from_dbm
 from .noise import NoiseBudget
@@ -171,109 +171,57 @@ class Scenario:
     def canonical_text(self) -> str:
         """Every input that affects the numbers; [output] is left out."""
         lines = []
-        for section, obj in (
-            ("system", self.system),
-            ("drive", self.drive),
-            ("fm", self.fm),
-            ("ram", self.ram),
-            ("gains", self.gains),
-            ("servo", self.servo),
-            ("noise", self.noise),
-            ("detector", self.detector),
-            ("scan", self.scan),
-        ):
-            lines.append(f"[{section}]")
-            for f in sorted(fields(obj), key=lambda f: f.name):
-                lines.append(f"{f.name} = {getattr(obj, f.name)!r}")
+        for name in _PARTS:
+            if name not in ("budget", "output"):  # the budget is a field of noise
+                obj = getattr(self, name)
+                lines.append(f"[{name}]")
+                lines += (f"{f.name} = {getattr(obj, f.name)!r}"
+                          for f in sorted(fields(obj), key=lambda f: f.name))
         lines.append(f"apply_ram = {self.apply_ram!r}")
         return "\n".join(lines)
 
 
-# (section, key) -> (target dataclass field, value parser); None keeps the
-# section name as the target attribute on Scenario.
-_SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
-    "system": {
-        name: (name, _parse_float)
-        for name in (
-            "lambda_probe", "lambda_coupling", "gamma2", "gamma3", "gamma4",
-            "gamma_deph", "mu12", "mu_rf", "n_atoms", "temperature",
-            "atom_mass", "cell_length",
-        )
-    },
-    "drive": {
-        name: (name, _parse_float)
-        for name in ("omega_p", "omega_c", "omega_rf", "delta_p", "delta_c", "delta_rf")
-    } | {"e_rf": ("e_rf", _parse_float)},
-    "fm": {
-        "omega_m": ("omega_m", _parse_float),
-        "beta": ("beta", _parse_float),
-        "n_max": ("n_max", _parse_int),
-        "lo_phase": ("lo_phase", _parse_float),
-        "apply_ram": ("apply_ram", _parse_bool),
-        "drive_dbm": ("drive_dbm", _parse_float),
-    },
-    "ram": {
-        "alpha": ("alpha", _parse_float),
-        "beta_angle": ("beta_angle", _parse_float),
-        "m_diff": ("m_diff", _parse_float),
-        "dphi_n": ("dphi_n", _parse_float),
-        "dphi_dc": ("dphi_dc", _parse_float),
-        "e0_sq": ("e0_sq", _parse_float),
-        "kp": ("kp", _parse_float),
-        "ki": ("ki", _parse_float),
-        "kd": ("kd", _parse_float),
-        "dt": ("dt", _parse_float),
-        "output_clamp": ("output_clamp", _parse_float),
-        "integrator_clamp": ("integrator_clamp", _parse_float),
-        "drift_model": ("drift_model", _parse_str),
-        "drift_value": ("drift_value", _parse_float),
-        "drift_rate": ("drift_rate", _parse_float),
-        "drift_amp": ("drift_amp", _parse_float),
-        "drift_freq_hz": ("drift_freq_hz", _parse_float),
-        "drift_step_std": ("drift_step_std", _parse_float),
-        "duration_s": ("duration_s", _parse_float),
-    },
-    "noise": {
-        "h_white_pm": ("white_pm", _parse_float),
-        "h_flicker_pm": ("flicker_pm", _parse_float),
-        "h_white_fm": ("white_fm", _parse_float),
-        "h_rw_fm": ("rw_fm", _parse_float),
-        "kind": ("kind", _parse_str),
-        "coefficient": ("coefficient", _parse_float),
-        "n_samples": ("n_samples", _parse_int),
-        "dt": ("dt", _parse_float),
-        "seed": ("seed", _parse_int),
-        "shot_current_a": ("shot_current_a", _parse_float),
-        "eta": ("eta", _parse_float),
-        "detected_power_w": ("power_w", _parse_float),
-        "signal_fraction": ("signal_fraction", _parse_float),
-        "n_participating": ("n_participating", _parse_float),
-    },
-    "scan": {
-        "quantity": ("quantity", _parse_str),
-        "start_hz": ("start_hz", _parse_float),
-        "stop_hz": ("stop_hz", _parse_float),
-        "step_hz": ("step_hz", _parse_float),
-        "e_start": ("e_start", _parse_float),
-        "e_stop": ("e_stop", _parse_float),
-        "e_step": ("e_step", _parse_float),
-        "kernel_hwhm_hz": ("kernel_hwhm_hz", _parse_float),
-        "e_operating": ("e_operating", _parse_float),
-        "line_noise_rms": ("line_noise_rms", _parse_float),
-    },
-    "output": {
-        "dir": ("dir", _parse_str),
-    },
+# Scenario part -> (section, dataclass, {field: key} where the key differs).
+# Every init field of a scalar type is a key of the part's section.
+_PARTS = {
+    "system": ("system", LadderSystem, {}),
+    "drive": ("drive", FieldDrive, {}),
+    "fm": ("fm", FmConfig, {}),
+    "ram": ("ram", RamParams, {}),
+    "gains": ("ram", PidGains, {}),
+    "servo": ("ram", ServoOpts, {}),
+    "budget": ("noise", NoiseBudget, {"white_pm": "h_white_pm", "flicker_pm": "h_flicker_pm",
+                                      "white_fm": "h_white_fm", "rw_fm": "h_rw_fm"}),
+    "noise": ("noise", NoiseOpts, {}),
+    "detector": ("noise", DetectorModel, {"power_w": "detected_power_w"}),
+    "scan": ("scan", ScanOpts, {}),
+    "output": ("output", OutputOpts, {}),
 }
+# Keys that set no dataclass field, by part; parse_scenario reads them itself.
+_EXTRA_KEYS = {
+    "drive": {"e_rf": _parse_float},
+    "fm": {"apply_ram": _parse_bool, "drive_dbm": _parse_float},
+}
+_PARSERS = {"float": _parse_float, "float | None": _parse_float, "int": _parse_int,
+            "str": _parse_str, "bool": _parse_bool}
 
-_RAM_PARAM_KEYS = ("alpha", "beta_angle", "m_diff", "dphi_n", "dphi_dc", "e0_sq")
-_GAIN_KEYS = ("kp", "ki", "kd", "dt", "output_clamp", "integrator_clamp")
-_SERVO_KEYS = (
-    "drift_model", "drift_value", "drift_rate", "drift_amp", "drift_freq_hz",
-    "drift_step_std", "duration_s",
-)
-_DETECTOR_KEYS = ("eta", "power_w", "signal_fraction", "n_participating")
-_BUDGET_KEYS = ("white_pm", "flicker_pm", "white_fm", "rw_fm")
+
+def _derive_keys():
+    """{part: {key: field}} and {section: {key: (field, parser)}} from `_PARTS`."""
+    part_keys, schema = {}, {}
+    for part, (section, cls, renames) in _PARTS.items():
+        keys = schema.setdefault(section, {})
+        part_keys[part] = {}
+        for f in fields(cls):
+            if f.init and f.type in _PARSERS:
+                key = renames.get(f.name, f.name)
+                part_keys[part][key] = f.name
+                keys[key] = (f.name, _PARSERS[f.type])
+        keys.update({key: (key, parser) for key, parser in _EXTRA_KEYS.get(part, {}).items()})
+    return part_keys, schema
+
+
+_PART_KEYS, _SCHEMA = _derive_keys()
 
 # Default gains: Ziegler-Nichols for the default RamParams plant gain
 # (see servo.ziegler_nichols_gains); recorded literally for reproducibility.
@@ -320,96 +268,50 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
 
-    def pick(section: str, mapping: dict[str, str]) -> dict:
-        out = {}
-        for key, target in mapping.items():
+    def build(name: str, **extra):
+        """Scenario part `name`; a key set in the file overrides `extra`."""
+        section, cls, _ = _PARTS[name]
+        for key, target in _PART_KEYS[name].items():
             if (section, key) in values:
-                out[target] = values.pop((section, key))
-        return out
-
-    def build(factory, kwargs: dict, what: str):
+                extra[target] = values[(section, key)]
         try:
-            return factory(**kwargs)
+            return cls(**extra)
         except InvariantViolation as exc:
-            raise InvariantViolation(f"[{what}] {exc}") from exc
+            raise InvariantViolation(f"[{section}] {exc}") from exc
 
-    system_kwargs = pick("system", {k: k for k in _SCHEMA["system"]})
-    system = build(LadderSystem, system_kwargs, "system")
-
-    drive_kwargs = pick("drive", {k: k for k in ("omega_p", "omega_c", "omega_rf",
-                                                 "delta_p", "delta_c", "delta_rf")})
-    e_rf = values.pop(("drive", "e_rf"), None)
-    drive_defaults = {
-        "omega_p": _TWO_PI * 6.7e6,
-        "omega_c": _TWO_PI * 7.0e6,
-        "delta_c": _TWO_PI * 1e6,
-    }
-    drive = build(FieldDrive, {**drive_defaults, **drive_kwargs}, "drive")
-    if e_rf is not None:
-        if "omega_rf" in drive_kwargs:
+    system = build("system")
+    drive = build("drive", omega_p=_TWO_PI * 6.7e6, omega_c=_TWO_PI * 7.0e6, delta_c=_TWO_PI * 1e6)
+    if ("drive", "e_rf") in values:
+        if ("drive", "omega_rf") in values:
             raise ParseError("[drive] e_rf and omega_rf are mutually exclusive")
-        drive = replace(drive, omega_rf=system.mu_rf * e_rf / HBAR)
+        drive = pipelines.drive_at_field(system, drive, values[("drive", "e_rf")])
 
-    scan_kwargs = pick("scan", {k: k for k in _SCHEMA["scan"]})
-    scan_opts = build(ScanOpts, scan_kwargs, "scan")
+    scan_opts = build("scan")
 
-    apply_ram_flag = bool(values.pop(("fm", "apply_ram"), False))
-    drive_dbm = values.pop(("fm", "drive_dbm"), None)
-    fm_kwargs = pick("fm", {k: k for k in ("omega_m", "beta", "n_max", "lo_phase")})
-    if drive_dbm is not None:
-        if "beta" in fm_kwargs:
+    fm_extra = {}
+    if ("fm", "drive_dbm") in values:
+        if ("fm", "beta") in values:
             raise ParseError("[fm] beta and drive_dbm are mutually exclusive")
-        fm_kwargs["beta"] = index_from_dbm(drive_dbm)
+        fm_extra["beta"] = index_from_dbm(values[("fm", "drive_dbm")])
     # an FM scan solves the medium at every detuning point + n * omega_m
-    samples = scan_opts.detuning_points() * (2 * fm_kwargs.get("n_max", FmConfig.n_max) + 1)
+    samples = scan_opts.detuning_points() * (2 * values.get(("fm", "n_max"), FmConfig.n_max) + 1)
     if samples > MAX_GRID_POINTS:
         raise InvariantViolation(f"[fm] {samples} FM medium points; the limit is {MAX_GRID_POINTS}")
-    fm_cfg = build(FmConfig, fm_kwargs, "fm")
+    fm_cfg = build("fm", **fm_extra)
 
-    ram_kwargs = pick("ram", {k: k for k in _RAM_PARAM_KEYS})
-    ram = build(RamParams, ram_kwargs, "ram")
-
-    gain_kwargs = pick("ram", {k: k for k in _GAIN_KEYS})
-    gain_kwargs.setdefault("kp", _DEFAULT_KP)
-    gain_kwargs.setdefault("ki", _DEFAULT_KI)
-    gains = build(PidGains, gain_kwargs, "ram")
-
-    servo_kwargs = pick("ram", {k: k for k in _SERVO_KEYS})
-    servo_opts = build(ServoOpts, servo_kwargs, "ram")
+    ram = build("ram")
+    gains = build("gains", kp=_DEFAULT_KP, ki=_DEFAULT_KI)
+    servo_opts = build("servo")
     steps = servo_opts.duration_s / gains.dt
     if not (math.isfinite(steps) and round(steps) <= MAX_GRID_POINTS):
         raise InvariantViolation(
             f"[ram] servo run would take {steps:.3g} steps; the limit is {MAX_GRID_POINTS}"
         )
 
-    budget_kwargs = pick("noise", dict(zip(("h_white_pm", "h_flicker_pm", "h_white_fm", "h_rw_fm"),
-                                           _BUDGET_KEYS)))
-    budget = build(NoiseBudget, budget_kwargs, "noise")
-    detector_kwargs = pick("noise", {
-        "eta": "eta", "detected_power_w": "power_w",
-        "signal_fraction": "signal_fraction", "n_participating": "n_participating",
-    })
-    detector = build(DetectorModel, detector_kwargs, "noise")
-    noise_kwargs = pick("noise", {k: k for k in ("kind", "coefficient", "n_samples",
-                                                 "dt", "seed", "shot_current_a")})
-    noise_opts = build(NoiseOpts, {"budget": budget, **noise_kwargs}, "noise")
-
-    output_kwargs = pick("output", {k: k for k in _SCHEMA["output"]})
-    output_opts = build(OutputOpts, output_kwargs, "output")
-
-    return Scenario(
-        system=system,
-        drive=drive,
-        fm=fm_cfg,
-        ram=ram,
-        gains=gains,
-        servo=servo_opts,
-        noise=noise_opts,
-        detector=detector,
-        scan=scan_opts,
-        output=output_opts,
-        apply_ram=apply_ram_flag,
-    )
+    budget, detector = build("budget"), build("detector")
+    return Scenario(system=system, drive=drive, fm=fm_cfg, ram=ram, gains=gains, servo=servo_opts,
+                    noise=build("noise", budget=budget), detector=detector, scan=scan_opts,
+                    output=build("output"), apply_ram=values.get(("fm", "apply_ram"), False))
 
 
 def load_scenario(path: str | None) -> Scenario:

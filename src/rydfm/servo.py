@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UnstableLoopError
-from .fm import RamParams, _ram_amplitude, ram_mod_depth
+from .fm import RamParams, _ram_amplitude
 
 
 @dataclass
@@ -59,15 +59,6 @@ class ServoTrace:
             raise InvariantViolation("trace time must be strictly increasing")
 
 
-def demod_error(p: RamParams) -> float:
-    """Residual-AM error signal at the error-maximizing LO phase.
-
-    Returns the signed sin(omega_m t) coefficient of the first-harmonic
-    photocurrent, proportional to sin(dphi_n + dphi_dc).
-    """
-    return ram_mod_depth(p)
-
-
 def plant_gain(p: RamParams) -> float:
     """|d error / d dphi_dc| of the linearized plant at the null."""
     return abs(_ram_amplitude(p, 1))
@@ -107,7 +98,6 @@ def constant_drift(value: float):
     """dphi_n(t) = value."""
     def model(t: np.ndarray) -> np.ndarray:
         return np.full_like(t, value, dtype=float)
-    model.kind = "constant"
     return model
 
 
@@ -115,7 +105,6 @@ def ramp_drift(rate: float, start: float = 0.0):
     """dphi_n(t) = start + rate * t."""
     def model(t: np.ndarray) -> np.ndarray:
         return start + rate * t
-    model.kind = "ramp"
     return model
 
 
@@ -123,7 +112,6 @@ def sinusoid_drift(amplitude: float, freq_hz: float, phase: float = 0.0):
     """dphi_n(t) = amplitude * sin(2 pi f t + phase)."""
     def model(t: np.ndarray) -> np.ndarray:
         return amplitude * np.sin(2 * np.pi * freq_hz * t + phase)
-    model.kind = "sinusoid"
     return model
 
 
@@ -132,7 +120,6 @@ def random_walk_drift(step_std: float, seed: int, start: float = 0.0):
     def model(t: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return start + np.cumsum(rng.normal(0.0, step_std, t.size))
-    model.kind = "random_walk"
     return model
 
 
@@ -146,7 +133,7 @@ def run_servo(
 ) -> ServoTrace:
     """Closed- (or open-) loop simulation against a drifting dphi_n(t).
 
-    The recorded error at each step is demod_error at dphi_n = drift and
+    The recorded error at each step is `fm.ram_mod_depth` at dphi_n = drift and
     dphi_dc = control, taken before the controller acts on it.  Error
     amplitude growth beyond 10x its initial level over a trailing window
     raises UnstableLoopError.

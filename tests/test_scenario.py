@@ -1,7 +1,11 @@
 import math
+import operator
+import re
+from pathlib import Path
 
 import pytest
 
+from rydfm import scenario
 from rydfm.errors import InvariantViolation, ParseError, UnknownKeyError
 from rydfm.fm import index_from_dbm
 from rydfm.scenario import (
@@ -87,6 +91,118 @@ class TestDerivedValues:
         assert scn.ram.alpha == 0.02
         assert scn.gains.kp == 10
         assert scn.servo.drift_model == "ramp"
+
+
+# (section, key, a valid non-default value, where it lands on the Scenario)
+KEY_TARGETS = [
+    ("system", "lambda_probe", 850e-9, "system.lambda_probe"),
+    ("system", "lambda_coupling", 510e-9, "system.lambda_coupling"),
+    ("system", "gamma2", 3.0e7, "system.gamma2"),
+    ("system", "gamma3", 1.0e6, "system.gamma3"),
+    ("system", "gamma4", 1.1e6, "system.gamma4"),
+    ("system", "gamma_deph", 1.2e6, "system.gamma_deph"),
+    ("system", "mu12", 3.0e-29, "system.mu12"),
+    ("system", "mu_rf", 1.0e-26, "system.mu_rf"),
+    ("system", "n_atoms", 1e16, "system.n_atoms"),
+    ("system", "temperature", 300.0, "system.temperature"),
+    ("system", "atom_mass", 2.2e-25, "system.atom_mass"),
+    ("system", "cell_length", 0.05, "system.cell_length"),
+    ("drive", "omega_p", 1e7, "drive.omega_p"),
+    ("drive", "omega_c", 2e7, "drive.omega_c"),
+    ("drive", "omega_rf", 3e6, "drive.omega_rf"),
+    ("drive", "delta_p", 1e5, "drive.delta_p"),
+    ("drive", "delta_c", -1e6, "drive.delta_c"),
+    ("drive", "delta_rf", 2e5, "drive.delta_rf"),
+    ("fm", "omega_m", 3e7, "fm.omega_m"),
+    ("fm", "beta", 0.5, "fm.beta"),
+    ("fm", "n_max", 10, "fm.n_max"),
+    ("fm", "lo_phase", 0.3, "fm.lo_phase"),
+    ("fm", "apply_ram", True, "apply_ram"),
+    ("ram", "alpha", 0.02, "ram.alpha"),
+    ("ram", "beta_angle", 0.03, "ram.beta_angle"),
+    ("ram", "m_diff", 0.2, "ram.m_diff"),
+    ("ram", "dphi_n", 0.1, "ram.dphi_n"),
+    ("ram", "dphi_dc", -0.1, "ram.dphi_dc"),
+    ("ram", "e0_sq", 2.0, "ram.e0_sq"),
+    ("ram", "kp", 10.0, "gains.kp"),
+    ("ram", "ki", 5.0, "gains.ki"),
+    ("ram", "kd", 0.5, "gains.kd"),
+    ("ram", "dt", 2e-3, "gains.dt"),
+    ("ram", "output_clamp", 2.0, "gains.output_clamp"),
+    ("ram", "integrator_clamp", 20.0, "gains.integrator_clamp"),
+    ("ram", "drift_model", "ramp", "servo.drift_model"),
+    ("ram", "drift_value", 0.1, "servo.drift_value"),
+    ("ram", "drift_rate", 0.02, "servo.drift_rate"),
+    ("ram", "drift_amp", 0.2, "servo.drift_amp"),
+    ("ram", "drift_freq_hz", 0.1, "servo.drift_freq_hz"),
+    ("ram", "drift_step_std", 1e-3, "servo.drift_step_std"),
+    ("ram", "duration_s", 8.0, "servo.duration_s"),
+    ("noise", "h_white_pm", 1e-20, "noise.budget.white_pm"),
+    ("noise", "h_flicker_pm", 2e-20, "noise.budget.flicker_pm"),
+    ("noise", "h_white_fm", 3e-20, "noise.budget.white_fm"),
+    ("noise", "h_rw_fm", 4e-20, "noise.budget.rw_fm"),
+    ("noise", "kind", "composite", "noise.kind"),
+    ("noise", "coefficient", 1e-20, "noise.coefficient"),
+    ("noise", "n_samples", 1024, "noise.n_samples"),
+    ("noise", "dt", 1e-2, "noise.dt"),
+    ("noise", "seed", 7, "noise.seed"),
+    ("noise", "shot_current_a", 1e-6, "noise.shot_current_a"),
+    ("noise", "eta", 0.5, "detector.eta"),
+    ("noise", "detected_power_w", 1e-4, "detector.power_w"),
+    ("noise", "signal_fraction", 0.02, "detector.signal_fraction"),
+    ("noise", "n_participating", 1e6, "detector.n_participating"),
+    ("scan", "quantity", "rf_field", "scan.quantity"),
+    ("scan", "start_hz", -20e6, "scan.start_hz"),
+    ("scan", "stop_hz", 20e6, "scan.stop_hz"),
+    ("scan", "step_hz", 1e6, "scan.step_hz"),
+    ("scan", "e_start", 1e-3, "scan.e_start"),
+    ("scan", "e_stop", 5e-3, "scan.e_stop"),
+    ("scan", "e_step", 1e-3, "scan.e_step"),
+    ("scan", "kernel_hwhm_hz", 2e6, "scan.kernel_hwhm_hz"),
+    ("scan", "e_operating", 5e-3, "scan.e_operating"),
+    ("scan", "line_noise_rms", 0.1, "scan.line_noise_rms"),
+    ("output", "dir", "results", "output.dir"),
+]
+# set no field of their own; see TestDerivedValues
+DERIVED_KEYS = {("drive", "e_rf"), ("fm", "drive_dbm")}
+
+
+class TestKeyTable:
+    def test_targets_cover_every_key(self):
+        schema_keys = {(section, key) for section, keys in scenario._SCHEMA.items() for key in keys}
+        assert {(section, key) for section, key, _, _ in KEY_TARGETS} == schema_keys - DERIVED_KEYS
+
+    @pytest.mark.parametrize("section, key, value, target", KEY_TARGETS,
+                             ids=[f"{s}.{k}" for s, k, _, _ in KEY_TARGETS])
+    def test_key_reaches_its_field(self, section, key, value, target):
+        get = operator.attrgetter(target)
+        assert get(parse_scenario("")) != value
+        scn = parse_scenario(f"[{section}]\n{key} = {value}\n")
+        assert get(scn) == value and type(get(scn)) is type(value)
+
+    def test_non_float_keys_keep_their_parser(self):
+        non_float = {
+            (section, key): parser
+            for section, keys in scenario._SCHEMA.items()
+            for key, (_, parser) in keys.items()
+            if parser is not scenario._parse_float
+        }
+        assert non_float == {
+            ("fm", "n_max"): scenario._parse_int,
+            ("noise", "n_samples"): scenario._parse_int,
+            ("noise", "seed"): scenario._parse_int,
+            ("scan", "quantity"): scenario._parse_str,
+            ("ram", "drift_model"): scenario._parse_str,
+            ("noise", "kind"): scenario._parse_str,
+            ("output", "dir"): scenario._parse_str,
+            ("fm", "apply_ram"): scenario._parse_bool,
+        }
+
+    def test_readme_key_table_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, flags=re.MULTILINE)
+        listed = {section: set(re.findall(r"`([a-z_][a-z0-9_]*)`", keys)) for section, keys in rows}
+        assert listed == {section: set(keys) for section, keys in scenario._SCHEMA.items()}
 
 
 class TestGridBounds:

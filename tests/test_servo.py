@@ -6,13 +6,12 @@ import pytest
 
 from rydfm.analysis import allan_deviation, octave_taus
 from rydfm.errors import InvariantViolation, UnstableLoopError
-from rydfm.fm import RamParams, apply_ram, demodulate, sidebands
+from rydfm.fm import RamParams, apply_ram, demodulate, ram_mod_depth, sidebands
 from rydfm.noise import TimeSeries
 from rydfm.servo import (
     PidGains,
     PidState,
     constant_drift,
-    demod_error,
     pid_step,
     plant_gain,
     ramp_drift,
@@ -29,17 +28,17 @@ GAINS = ziegler_nichols_gains(GAIN, 1e-3)
 
 class TestDemodError:
     def test_null(self):
-        assert demod_error(replace(RAM, dphi_n=0.4, dphi_dc=-0.4)) == 0.0
+        assert ram_mod_depth(replace(RAM, dphi_n=0.4, dphi_dc=-0.4)) == 0.0
 
     def test_odd_in_total_phase(self):
-        plus = demod_error(replace(RAM, dphi_n=0.3))
-        minus = demod_error(replace(RAM, dphi_n=-0.3))
+        plus = ram_mod_depth(replace(RAM, dphi_n=0.3))
+        minus = ram_mod_depth(replace(RAM, dphi_n=-0.3))
         assert plus == -minus
         assert plus != 0.0
 
     def test_sine_ratio(self):
-        big = demod_error(replace(RAM, dphi_n=0.1))
-        small = demod_error(replace(RAM, dphi_n=0.05))
+        big = ram_mod_depth(replace(RAM, dphi_n=0.1))
+        small = ram_mod_depth(replace(RAM, dphi_n=0.05))
         assert big / small == pytest.approx(math.sin(0.1) / math.sin(0.05), rel=1e-12)
 
     def test_matches_full_demodulation_chain(self):
@@ -47,7 +46,7 @@ class TestDemodError:
         # RAM-perturbed sidebands through a transparent medium
         p = replace(RAM, dphi_n=0.25)
         sb = apply_ram(sidebands(0.7, 8, omega_m=2 * math.pi * 10e6), p)
-        assert demodulate(sb, -math.pi / 2) == pytest.approx(demod_error(p), rel=1e-9)
+        assert demodulate(sb, -math.pi / 2) == pytest.approx(ram_mod_depth(p), rel=1e-9)
 
 
 class TestPidStep:
@@ -158,7 +157,7 @@ class TestServoRuns:
     def test_unlocked_tracks_drift(self):
         drift = sinusoid_drift(0.3, 0.5)
         trace = run_servo(drift, GAINS, 4.0, ram=RAM, lock=False)
-        expected = np.array([demod_error(replace(RAM, dphi_n=x)) for x in trace.dphi_n])
+        expected = np.array([ram_mod_depth(replace(RAM, dphi_n=x)) for x in trace.dphi_n])
         assert np.allclose(trace.error, expected)
         assert np.all(trace.dphi_dc == 0.0)
 
@@ -191,7 +190,7 @@ class TestServoRuns:
 
 
 def stepwise_servo(drift, gains, duration, ram, lock):
-    """Oracle: rebuild RamParams and call demod_error on every step."""
+    """Oracle: rebuild RamParams and call ram_mod_depth on every step."""
     n = int(round(duration / gains.dt))
     phi_n = np.asarray(drift(np.arange(n) * gains.dt), dtype=float)
     control = np.zeros(n)
@@ -199,7 +198,7 @@ def stepwise_servo(drift, gains, duration, ram, lock):
     state = PidState()
     u = 0.0
     for k in range(n):
-        e = demod_error(replace(ram, dphi_n=float(phi_n[k]), dphi_dc=u))
+        e = ram_mod_depth(replace(ram, dphi_n=float(phi_n[k]), dphi_dc=u))
         error[k] = e
         control[k] = u
         if lock:
