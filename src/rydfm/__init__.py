@@ -15,7 +15,6 @@ from .analysis import (
     projection_limit,
     sensitivity_estimate,
 )
-from .constants import CODATA, PhysicalConstants
 from .fm import (
     FmConfig,
     RamParams,
@@ -71,7 +70,6 @@ __all__ = [
     "SensitivityReport", "allan_deviation", "classify_noise",
     "lorentzian_fit", "matched_filter", "projection_limit",
     "sensitivity_estimate",
-    "CODATA", "PhysicalConstants",
     "FmConfig", "RamParams", "SidebandSet", "apply_ram", "demodulate",
     "index_from_dbm", "propagate", "ram_photocurrent", "sidebands",
     "NoiseBudget", "TimeSeries", "gen_composite", "gen_powerlaw",

@@ -38,7 +38,6 @@ class AllanResult:
     taus: np.ndarray
     sigma_y: np.ndarray
     counts: np.ndarray
-    estimator: str
 
     def __post_init__(self) -> None:
         self.taus = np.asarray(self.taus, dtype=float)
@@ -52,8 +51,6 @@ class AllanResult:
             raise InvariantViolation("sigma_y must be >= 0")
         if np.any(self.counts < 2):
             raise InvariantViolation("each tau needs at least 2 differences")
-        if self.estimator not in ("nonoverlapping", "overlapping"):
-            raise InvariantViolation("estimator must be nonoverlapping or overlapping")
 
 
 @dataclass
@@ -141,22 +138,17 @@ class SensitivityReport:
                 raise InvariantViolation(f"{name} must be >= 0")
 
 
-def allan_deviation(ts: TimeSeries, taus, estimator: str = "nonoverlapping") -> AllanResult:
+def allan_deviation(ts: TimeSeries, taus) -> AllanResult:
     """Two-sample deviation of successive tau averages.
 
-    The non-overlapping estimator is the plain definition
-    sigma_y^2(tau) = <(y_{i+1} - y_i)^2> / 2 over adjacent block means;
-    the overlapping variant strides the blocks by one sample.
+    The non-overlapping estimator, by the plain definition
+    sigma_y^2(tau) = <(y_{i+1} - y_i)^2> / 2 over adjacent block means.
     """
-    if estimator not in ("nonoverlapping", "overlapping"):
-        raise InvariantViolation("estimator must be nonoverlapping or overlapping")
     values = ts.values
     n = values.size
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     sigma = np.empty(taus.size)
     counts = np.empty(taus.size, dtype=int)
-    if estimator == "overlapping":
-        cumulative = np.concatenate([[0.0], np.cumsum(values)])
     for i, tau in enumerate(taus):
         m_float = tau / ts.dt
         m = int(round(m_float))
@@ -167,18 +159,12 @@ def allan_deviation(ts: TimeSeries, taus, estimator: str = "nonoverlapping") -> 
             raise InsufficientDataError(
                 f"tau = {tau} leaves {bins} averaging bins; at least 3 required"
             )
-        if estimator == "nonoverlapping":
-            # per-block mean (not a cumsum difference) so identical blocks
-            # give bit-identical means and e.g. a constant series yields
-            # exactly zero
-            means = values[: bins * m].reshape(bins, m).mean(axis=1)
-            diffs = np.diff(means)
-        else:
-            means = (cumulative[m:] - cumulative[:-m]) / m
-            diffs = means[m:] - means[:-m]
+        # per-block mean (not a cumsum difference) so identical blocks give
+        # bit-identical means and e.g. a constant series yields exactly zero
+        diffs = np.diff(values[: bins * m].reshape(bins, m).mean(axis=1))
         sigma[i] = math.sqrt(float(np.mean(diffs ** 2)) / 2.0)
         counts[i] = diffs.size
-    return AllanResult(taus=taus, sigma_y=sigma, counts=counts, estimator=estimator)
+    return AllanResult(taus=taus, sigma_y=sigma, counts=counts)
 
 
 def octave_taus(ts: TimeSeries, max_fraction: int = 8) -> np.ndarray:
@@ -215,15 +201,13 @@ def classify_noise(result: AllanResult) -> list[OctaveLabel]:
     return labels
 
 
-def lorentzian_kernel(hwhm: float, step: float, max_len: int | None = None) -> np.ndarray:
+def lorentzian_kernel(hwhm: float, step: float, max_len: int) -> np.ndarray:
     """Unit-energy Lorentzian kernel sampled on the scan step.
 
-    Support is +-8 HWHM (99.9% of the kernel energy), re-normalized after
-    truncation.
+    Support is +-8 HWHM (99.9% of the kernel energy) and at most `max_len`
+    samples, re-normalized after truncation.
     """
-    half = int(math.ceil(8 * hwhm / step))
-    if max_len is not None:
-        half = min(half, (max_len - 1) // 2)
+    half = min(int(math.ceil(8 * hwhm / step)), (max_len - 1) // 2)
     offsets = np.arange(-half, half + 1) * step
     kernel = hwhm / (offsets ** 2 + hwhm ** 2)
     return kernel / np.linalg.norm(kernel)
@@ -306,7 +290,6 @@ def sensitivity_estimate(
     fm_cfg: FmConfig,
     detector: DetectorModel,
     e_operating: float,
-    noise_floor: float | None = None,
 ) -> SensitivityReport:
     """Minimum detectable field from responsivity and the noise floor.
 
@@ -315,14 +298,12 @@ def sensitivity_estimate(
     obtained by a central difference with step halving until 1%
     convergence.  A difference at the rounding level of the DC signal at
     the operating point raises ZeroResponsivityError, and no convergence in
-    12 halvings raises NonConvergenceError.  The noise floor defaults to the
+    12 halvings raises NonConvergenceError.  The noise floor is the
     shot-noise current density of the detected DC power; e_min =
     noise_floor / responsivity.
     """
     if e_operating <= 0:
         raise InvariantViolation("e_operating must be > 0")
-    if noise_floor is not None and noise_floor < 0:
-        raise InvariantViolation("noise_floor must be >= 0")
     responsivity_pd = detector.responsivity_a_per_w(sys.lambda_probe)
     signal_power = detector.power_w * detector.signal_fraction
 
@@ -358,11 +339,7 @@ def sensitivity_estimate(
             f"signal derivative did not converge to 1% in 12 step halvings at E = {e_operating:g} V/m"
         )
     responsivity = abs(derivative)
-
-    if noise_floor is None:
-        dc_current = responsivity_pd * detector.power_w * dc_rel
-        noise_floor = math.sqrt(2 * E_CHARGE * dc_current)
-
+    noise_floor = math.sqrt(2 * E_CHARGE * (responsivity_pd * detector.power_w * dc_rel))
     e_min = noise_floor / responsivity
     limit = projection_limit(sys.mu_rf, detector.n_participating, 1.0 / sys.gamma_deph)
     return SensitivityReport(

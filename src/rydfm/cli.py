@@ -8,9 +8,10 @@ lines carrying the config hash and seed; numeric bodies are byte-identical
 across reruns of the same configuration.  The output directory resolves
 as --out, then $RYDFM_OUT, then the scenario [output] dir.
 
-Exit codes: 0 success, 2 configuration error (every scenario that fails to
-load), 3 numeric failure (including an arithmetic overflow or a failed
-linear solve), 4 I/O.
+Exit codes: 0 success, 2 configuration error (a parse error or a broken
+invariant, and every scenario that fails to load), 3 numeric failure of a
+run (any other package error, an arithmetic overflow or a failed linear
+solve), 4 I/O.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, analysis, fm, noise, pipelines, servo, spectroscopy
-from .errors import CONFIG_ERRORS, NUMERIC_ERRORS, RydfmError
+from . import __version__, analysis, noise, pipelines, servo, spectroscopy
+from .errors import InvariantViolation, ParseError, RydfmError
 from .scenario import Scenario, load_scenario
 
 SUBCOMMANDS = ("scan", "fmscan", "atcal", "servo", "noise", "allan", "matched", "sensitivity")
@@ -268,7 +269,7 @@ def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     series = _make_series(scn, seed)
     taus = analysis.octave_taus(series)
     result = analysis.allan_deviation(series, taus)
-    header = _header(scn, seed) | {"kind": series.kind, "estimator": result.estimator}
+    header = _header(scn, seed) | {"kind": series.kind, "estimator": "nonoverlapping"}
     path = outdir / "allan.csv"
     write_csv(
         path,
@@ -379,34 +380,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    loaded = False
     try:
         scn = load_scenario(args.config)
-    except RydfmError as exc:  # every scenario that fails to load is a config error
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ArithmeticError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    seed = args.seed if args.seed is not None else scn.noise.seed
-    outdir = Path(args.out or os.environ.get("RYDFM_OUT") or scn.output.dir)
-    try:
+        loaded = True
+        seed = args.seed if args.seed is not None else scn.noise.seed
+        outdir = Path(args.out or os.environ.get("RYDFM_OUT") or scn.output.dir)
         run(args.subcommand, scn, seed, outdir)
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (ParseError, InvariantViolation) as exc:
+        code, message = EXIT_CONFIG, str(exc)
+    except RydfmError as exc:  # every scenario that fails to load is a config error
+        code, message = EXIT_NUMERIC if loaded else EXIT_CONFIG, str(exc)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code, message = EXIT_NUMERIC if loaded else EXIT_CONFIG, f"{type(exc).__name__}: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        code, message = EXIT_IO, str(exc)
+    else:
+        return EXIT_OK
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,31 +3,13 @@
 Values are pinned as literals rather than imported from scipy so that
 numeric outputs stay byte-identical across dependency upgrades.
 """
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    h: float = 6.62607015e-34        # Planck constant, J s (exact)
-    hbar: float = 1.054571817e-34    # reduced Planck constant, J s
-    e_charge: float = 1.602176634e-19  # elementary charge, C (exact)
-    a0: float = 5.29177210903e-11    # Bohr radius, m
-    c: float = 299792458.0           # speed of light, m/s (exact)
-    eps0: float = 8.8541878128e-12   # vacuum permittivity, F/m
-    kB: float = 1.380649e-23         # Boltzmann constant, J/K (exact)
-
-
-CODATA = PhysicalConstants()
-
-H_PLANCK = CODATA.h
-HBAR = CODATA.hbar
-E_CHARGE = CODATA.e_charge
-A0 = CODATA.a0
-C_LIGHT = CODATA.c
-EPS0 = CODATA.eps0
-KB = CODATA.kB
+H_PLANCK = 6.62607015e-34      # Planck constant, J s (exact)
+HBAR = 1.054571817e-34         # reduced Planck constant, J s
+E_CHARGE = 1.602176634e-19     # elementary charge, C (exact)
+A0 = 5.29177210903e-11         # Bohr radius, m
+C_LIGHT = 299792458.0          # speed of light, m/s (exact)
+EPS0 = 8.8541878128e-12        # vacuum permittivity, F/m
+KB = 1.380649e-23              # Boltzmann constant, J/K (exact)
 
 # Cs-133 atomic mass, kg (132.905451961 u)
 CS_MASS = 2.20694650e-25

@@ -63,20 +63,3 @@ class ZeroResponsivityError(RydfmError):
 
 class UnstableLoopError(RydfmError):
     """Servo error amplitude grew by more than 10x; gains are unstable."""
-
-
-CONFIG_ERRORS = (ParseError, UnknownKeyError, InvariantViolation)
-
-NUMERIC_ERRORS = (
-    SingularSystemError,
-    NonConvergenceError,
-    TruncationError,
-    OutOfGridError,
-    EvenHarmonicError,
-    UnsupportedKindError,
-    InsufficientDataError,
-    KernelTooNarrowError,
-    DomainError,
-    ZeroResponsivityError,
-    UnstableLoopError,
-)

@@ -487,6 +487,9 @@ def susceptibility_batch(
         raise InvariantViolation("susceptibility requires omega_p > 0")
     rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf)
     chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
+    if not np.all(np.isfinite(chi)):
+        raise NonConvergenceError(f"susceptibility is not finite at {np.sum(~np.isfinite(chi))} "
+                                  f"of {chi.size} operating points")
     if not np.all(chi.imag >= -1e-12 * np.maximum(1.0, np.abs(chi))):
         raise InvariantViolation(
             f"negative probe absorption Im chi = {np.min(chi.imag):.3e}; passive medium violated"

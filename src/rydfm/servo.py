@@ -79,7 +79,7 @@ def pid_step(state: PidState, error: float, gains: PidGains) -> tuple[PidState, 
     return PidState(integral=integral, prev_error=error), increment
 
 
-def ziegler_nichols_gains(plant_gain_value: float, dt: float, **overrides) -> PidGains:
+def ziegler_nichols_gains(plant_gain_value: float, dt: float) -> PidGains:
     """PI gains from Ziegler-Nichols on the one-step linearized loop.
 
     The increment-accumulating P loop has ultimate gain 2/g and a 2-sample
@@ -89,7 +89,7 @@ def ziegler_nichols_gains(plant_gain_value: float, dt: float, **overrides) -> Pi
         raise InvariantViolation("plant gain must be > 0")
     kp = 0.9 / plant_gain_value
     ki = 0.54 / plant_gain_value
-    return PidGains(kp=kp, ki=ki, kd=0.0, dt=dt, **overrides)
+    return PidGains(kp=kp, ki=ki, kd=0.0, dt=dt)
 
 
 # --- drift models ------------------------------------------------------------
@@ -128,7 +128,7 @@ def run_servo(
     gains: PidGains,
     duration: float,
     *,
-    ram: RamParams | None = None,
+    ram: RamParams,
     lock: bool = True,
 ) -> ServoTrace:
     """Closed- (or open-) loop simulation against a drifting dphi_n(t).
@@ -140,9 +140,8 @@ def run_servo(
     """
     if not (duration > 10 * gains.dt):
         raise InvariantViolation("duration must exceed 10 control periods")
-    base = ram if ram is not None else RamParams()
     # before the arrays exist: the first call imports scipy.special
-    amp = _ram_amplitude(base, 1)
+    amp = _ram_amplitude(ram, 1)
     n = int(round(duration / gains.dt))
     t = np.arange(n) * gains.dt
     phi_n = np.asarray(drift(t), dtype=float)

@@ -70,15 +70,15 @@ class AtResult:
 
     split_hz: float | None
     peak_locations: tuple[float, float] | None  # rad/s detunings
-    confidence: str  # "resolved" | "unresolved"
 
     def __post_init__(self) -> None:
-        if self.confidence not in ("resolved", "unresolved"):
-            raise InvariantViolation("confidence must be 'resolved' or 'unresolved'")
-        if self.confidence == "unresolved" and self.split_hz is not None:
-            raise InvariantViolation("unresolved result must not carry a splitting")
         if self.split_hz is not None and self.split_hz < 0:
             raise InvariantViolation("split_hz must be >= 0")
+
+    @property
+    def confidence(self) -> str:
+        """"resolved" when the scan carries a splitting, else "unresolved"."""
+        return "unresolved" if self.split_hz is None else "resolved"
 
 
 def scan_probe(sys: LadderSystem, drive: FieldDrive, grid: np.ndarray) -> MediumSpectrum:
@@ -181,18 +181,18 @@ def at_splitting(spec: MediumSpectrum) -> AtResult:
         raise InvariantViolation("AT splitting needs a single spectrum row")
     span = float(t.max() - t.min())
     if span <= 0:
-        return AtResult(None, None, "unresolved")
+        return AtResult(None, None)
     doublet = _doublet_peaks(t, 1e-6 * span)
     if doublet is None:
-        return AtResult(None, None, "unresolved")
+        return AtResult(None, None)
     chosen, widths_samples = doublet
     step = float(np.median(np.diff(spec.grid)))
     fwhm = float(widths_samples.max() * step)
     locations = tuple(sorted(_parabolic_refine(spec.grid, t, i) for i in chosen))
     separation = locations[1] - locations[0]
     if separation <= fwhm:
-        return AtResult(None, None, "unresolved")
-    return AtResult(separation / (2 * np.pi), locations, "resolved")
+        return AtResult(None, None)
+    return AtResult(separation / (2 * np.pi), locations)
 
 
 def field_from_splitting(split_hz: float, mu_rf: float) -> float:

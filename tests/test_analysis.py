@@ -86,17 +86,6 @@ class TestAllanDeviation:
         with pytest.raises(InvariantViolation):
             allan_deviation(series(np.ones(64)), [1.5])
 
-    def test_overlapping_agrees_with_nonoverlapping(self):
-        ts = gen_powerlaw("white_fm", 1e-22, 2 ** 14, 1e-3, 17)
-        taus = octave_taus(ts)[:8]
-        non = allan_deviation(ts, taus, "nonoverlapping")
-        over = allan_deviation(ts, taus, "overlapping")
-        for i in range(taus.size):
-            se = non.sigma_y[i] / math.sqrt(non.counts[i]) + over.sigma_y[i] / math.sqrt(
-                over.counts[i]
-            )
-            assert abs(non.sigma_y[i] - over.sigma_y[i]) < 3 * se
-
 
 class TestClassifyNoise:
     def test_pure_white_fm(self):
@@ -129,7 +118,7 @@ class TestClassifyNoise:
     def test_ambiguity_reported(self):
         taus = np.array([1.0, 2.0, 4.0, 8.0])
         sigma = taus ** -0.25  # slope -0.25, between canonical values
-        result = AllanResult(taus=taus, sigma_y=sigma, counts=np.full(4, 10), estimator="nonoverlapping")
+        result = AllanResult(taus=taus, sigma_y=sigma, counts=np.full(4, 10))
         labels = classify_noise(result)
         assert all(lab.ambiguous for lab in labels)
         assert all(lab.label == "ambiguous" for lab in labels)
@@ -281,16 +270,16 @@ class TestSensitivity:
         )
         return cold_system, drive, FmConfig(n_max=5), DetectorModel()
 
-    def test_zero_noise_floor(self, fast_setup):
+    def test_shot_noise_floor(self, fast_setup):
+        # e_min = sqrt(2 e I_dc) / responsivity, I_dc the detected DC current
         sys, drive, cfg, det = fast_setup
-        report = sensitivity_estimate(sys, drive, cfg, det, 0.02, noise_floor=0.0)
-        assert report.e_min == 0.0
-
-    def test_linear_in_noise_floor(self, fast_setup):
-        sys, drive, cfg, det = fast_setup
-        one = sensitivity_estimate(sys, drive, cfg, det, 0.02, noise_floor=1e-12)
-        two = sensitivity_estimate(sys, drive, cfg, det, 0.02, noise_floor=2e-12)
-        assert two.e_min == pytest.approx(2 * one.e_min, rel=1e-9)
+        report = sensitivity_estimate(sys, drive, cfg, det, 0.02)
+        _, dc_rel = pipelines.fm_response(sys, drive_at_field(sys, drive, 0.02), cfg,
+                                          carrier_detuning=drive.delta_p)
+        dc_current = det.responsivity_a_per_w(sys.lambda_probe) * det.power_w * dc_rel
+        assert report.noise_floor == pytest.approx(math.sqrt(2 * E_CHARGE * dc_current),
+                                                   rel=1e-12)
+        assert report.e_min == report.noise_floor / report.responsivity
 
     def test_report_fields(self, fast_setup):
         sys, drive, cfg, det = fast_setup

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rydfm import cli, quantum, scenario
+from rydfm import cli, errors, quantum, scenario
 from rydfm.cli import CSV_BLOCK_ROWS, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main, write_csv
 from rydfm.scenario import ScanOpts
 
@@ -49,6 +50,14 @@ e_step = 0.9
 kernel_hwhm_hz = 2.0e6
 e_operating = 0.02
 """
+
+
+class UnlistedError(errors.RydfmError):
+    """A package error that no rydfm module defines or raises."""
+
+
+PACKAGE_ERRORS = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.RydfmError)] + [UnlistedError]
 
 
 def body_of(path):
@@ -182,6 +191,51 @@ class TestExitCodes:
         rc = main(["scan", "--config", str(cold_config), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         assert capsys.readouterr().err == "error: LinAlgError: Singular matrix\n"
+
+    @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_package_error_while_loading_is_a_config_error(self, error, tmp_path, capsys,
+                                                           monkeypatch):
+        def failing_load(path):
+            raise error("cannot load")
+
+        monkeypatch.setattr(cli, "load_scenario", failing_load)
+        rc = main(["scan", "--out", str(tmp_path / "o")])
+        assert (rc, capsys.readouterr().err) == (EXIT_CONFIG, "error: cannot load\n")
+
+    @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_package_error_while_running(self, error, cold_config, tmp_path, capsys,
+                                         monkeypatch):
+        def failing_run(*args):
+            raise error("cannot run")
+
+        monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli.SUBCOMMANDS, failing_run))
+        rc = main(["scan", "--config", str(cold_config), "--out", str(tmp_path / "o")])
+        config = issubclass(error, (errors.ParseError, errors.InvariantViolation))
+        assert rc == (EXIT_CONFIG if config else EXIT_NUMERIC)
+        assert capsys.readouterr().err == "error: cannot run\n"
+
+    def test_failed_linear_solve_while_loading_is_a_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def failing_load(path):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "load_scenario", failing_load)
+        rc = main(["scan", "--out", str(tmp_path / "o")])
+        expected = "error: LinAlgError: Singular matrix\n"
+        assert (rc, capsys.readouterr().err) == (EXIT_CONFIG, expected)
+
+    @pytest.mark.parametrize("subcommand", ["sensitivity", "matched"])
+    def test_non_finite_susceptibility_is_a_numeric_failure(self, subcommand, tmp_path, capsys):
+        # omega_rf reaches 1.4e308 rad/s and every velocity pole becomes 0,
+        # so the Doppler average is NaN
+        text = (SHIPPED_CONFIGS / "default.cfg").read_text()
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text.replace("e_operating = ", "e_operating = 1e300 # "))
+        with np.errstate(all="ignore"):
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("error: susceptibility is not finite at ")
 
 
 NUMERIC_KEYS = [

@@ -143,9 +143,12 @@ class TestAtSplitting:
         with pytest.raises(InvariantViolation, match="single spectrum row"):
             at_splitting(rows)
 
-    def test_invariant_unresolved_carries_no_split(self):
+    def test_confidence_follows_split(self):
+        assert AtResult(split_hz=None, peak_locations=None).confidence == "unresolved"
+        assert AtResult(split_hz=0.0, peak_locations=(0.0, 0.0)).confidence == "resolved"
+        assert AtResult(split_hz=1.0, peak_locations=(-1.0, 1.0)).confidence == "resolved"
         with pytest.raises(InvariantViolation):
-            AtResult(split_hz=1.0, peak_locations=None, confidence="unresolved")
+            AtResult(split_hz=-1.0, peak_locations=None)
 
 
 def scipy_doublet(t, min_prominence):
