@@ -219,7 +219,7 @@ def matched_filter(freqs: np.ndarray, values: np.ndarray, kernel: LorentzParams)
     The kernel is centered (its nu_c is irrelevant to a convolution);
     output edges are zero-padded and `valid` marks the fully-overlapped
     region.  A kernel narrower than two grid steps raises
-    KernelTooNarrowError.
+    KernelTooNarrowError, and one whose HWHM squared overflows DomainError.
     """
     freqs = np.asarray(freqs, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -233,6 +233,8 @@ def matched_filter(freqs: np.ndarray, values: np.ndarray, kernel: LorentzParams)
         raise KernelTooNarrowError(
             f"kernel HWHM {kernel.sigma:g} Hz is below two grid steps ({2 * step:g} Hz)"
         )
+    if not (kernel.sigma * kernel.sigma < math.inf):
+        raise DomainError(f"kernel HWHM {kernel.sigma:g} Hz is too wide: its square overflows")
     k = lorentzian_kernel(kernel.sigma, step, max_len=values.size)
     filtered = np.convolve(values, k, mode="same")
     half = k.size // 2

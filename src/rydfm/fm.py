@@ -170,14 +170,8 @@ def propagate(sb: SidebandSet, spec: MediumSpectrum, carrier_detuning) -> Sideba
             f"but the spectrum covers [{lo:.6g}, {hi:.6g}]"
         )
     t = np.interp(detunings, spec.grid, spec.amp_transmission)
-    rotation = 1j * np.interp(detunings, spec.grid, spec.phase)
-    del detunings
-    # amps * t * exp(1j * phi) in that order, with two (carriers, orders)
-    # complex arrays alive instead of four
-    np.exp(rotation, out=rotation)
-    amps = sb.amps * t
-    amps *= rotation
-    return SidebandSet(orders=sb.orders, amps=amps, omega_m=sb.omega_m)
+    phi = np.interp(detunings, spec.grid, spec.phase)
+    return SidebandSet(orders=sb.orders, amps=sb.amps * t * np.exp(1j * phi), omega_m=sb.omega_m)
 
 
 def demodulate(sb: SidebandSet, lo_phase: float) -> float | np.ndarray:

@@ -6,10 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from .constants import HBAR
-from .errors import InvariantViolation
-from .fm import (
-    FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, propagate, sidebands,
-)
+from .fm import FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, sidebands
 from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 from .spectroscopy import AtResult, MediumSpectrum, at_splitting, scan_probe
 
@@ -34,42 +31,49 @@ def _sideband_grid(cfg: FmConfig, carriers) -> np.ndarray:
     return np.unique(np.append(d[0], d[last_of_run]))
 
 
-def _sideband_set(cfg: FmConfig, ram: RamParams | None) -> SidebandSet:
-    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
-    return sb if ram is None else apply_ram(sb, ram)
-
-
 def sideband_spectrum(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    cfg: FmConfig,
-    carrier_detuning: float,
+    sys: LadderSystem, drive: FieldDrive, cfg: FmConfig, carrier_detuning, delta_rf=None
 ) -> MediumSpectrum:
-    """Medium response sampled exactly at the carrier and sideband detunings."""
-    return scan_probe(sys, drive, _sideband_grid(cfg, carrier_detuning))
+    """Medium response sampled exactly at the sideband detunings of one or more carriers.
+
+    The one FM medium sampler: one row at `drive.delta_rf`, or one per entry of `delta_rf`.
+    """
+    grid = _sideband_grid(cfg, carrier_detuning)
+    rf = None if delta_rf is None else np.asarray(delta_rf, dtype=float)[..., None]
+    return MediumSpectrum.from_chi(sys, grid, susceptibility_batch(sys, drive, grid, rf))
+
+
+def _propagated(
+    sys: LadderSystem, drive: FieldDrive, cfg: FmConfig, carriers, delta_rf=None, ram=None
+) -> SidebandSet:
+    """Sidebands (and RAM) of each carrier and RF row after one pass through the medium.
+
+    Order n reads its sample of carrier + n * omega_m by lookup, exact because a merge
+    keeps the last detuning of its run: the first sample at or above a detuning is its own.
+    """
+    spec = sideband_spectrum(sys, drive, cfg, carriers, delta_rf)
+    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+    sb = sb if ram is None else apply_ram(sb, ram)
+    idx = np.searchsorted(spec.grid, np.add.outer(carriers, sb.orders * cfg.omega_m))
+    # amps * t * exp(1j * phi) in that order, with two complex arrays alive, not four;
+    # np.take, unlike [..., idx], keeps rows contiguous: demodulate's sums round by layout
+    rotation = 1j * np.take(spec.phase, idx, axis=-1)
+    np.exp(rotation, out=rotation)
+    amps = sb.amps * np.take(spec.amp_transmission, idx, axis=-1)
+    amps *= rotation
+    return SidebandSet(orders=sb.orders, amps=amps, omega_m=cfg.omega_m)
 
 
 def fm_response(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    cfg: FmConfig,
-    carrier_detuning: float,
-    *,
-    lo_phase: float | None = None,
-    ram: RamParams | None = None,
+    sys: LadderSystem, drive: FieldDrive, cfg: FmConfig, carrier_detuning: float
 ) -> tuple[float, float]:
-    """Demodulated FM signal and relative DC power at one carrier detuning."""
-    spec = sideband_spectrum(sys, drive, cfg, carrier_detuning)
-    prop = propagate(_sideband_set(cfg, ram), spec, carrier_detuning)
-    return demodulate(prop, cfg.lo_phase if lo_phase is None else lo_phase), dc_power(prop)
+    """Demodulated FM signal at `cfg.lo_phase` and relative DC power at one carrier."""
+    prop = _propagated(sys, drive, cfg, carrier_detuning)
+    return demodulate(prop, cfg.lo_phase), dc_power(prop)
 
 
 def fm_probe_scan(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    cfg: FmConfig,
-    carrier_grid: np.ndarray,
-    *,
+    sys: LadderSystem, drive: FieldDrive, cfg: FmConfig, carrier_grid: np.ndarray, *,
     ram: RamParams | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """In-phase and quadrature FM spectra over a carrier-detuning grid.
@@ -77,33 +81,20 @@ def fm_probe_scan(
     The medium is solved once at every carrier + n * omega_m, so each
     sideband reads its own sample whatever the ratio of omega_m to the step.
     """
-    carrier_grid = np.asarray(carrier_grid, dtype=float)
-    spec = scan_probe(sys, drive, _sideband_grid(cfg, carrier_grid))
-    prop = propagate(_sideband_set(cfg, ram), spec, carrier_grid)
+    prop = _propagated(sys, drive, cfg, np.asarray(carrier_grid, dtype=float), ram=ram)
     return demodulate(prop, 0.0), demodulate(prop, np.pi / 2)
 
 
 def rf_detuning_scan(
-    sys: LadderSystem,
-    drive: FieldDrive,
-    cfg: FmConfig,
-    rf_grid: np.ndarray,
-    *,
+    sys: LadderSystem, drive: FieldDrive, cfg: FmConfig, rf_grid: np.ndarray, *,
     lo_phase: float | None = None,
 ) -> np.ndarray:
-    """Demodulated FM signal versus RF detuning at a fixed probe carrier.
+    """Demodulated FM signal versus RF detuning at the probe carrier `drive.delta_p`.
 
-    The sideband detunings of every RF detuning are solved in one batched
-    call and demodulated as one row each.
+    Every RF detuning's sidebands are solved in one batched call and demodulated
+    as one row each; orders that merge into one medium sample share it.
     """
-    grid = _sideband_grid(cfg, drive.delta_p)
-    if grid.size != 2 * cfg.n_max + 1:
-        raise InvariantViolation("omega_m is below the float resolution of the probe detuning")
-    rf = np.asarray(rf_grid, dtype=float)
-    chi = susceptibility_batch(sys, drive, grid[None, :], rf[:, None])
-    spec = MediumSpectrum.from_chi(sys, grid, chi)
-    sb = _sideband_set(cfg, None)
-    prop = SidebandSet(sb.orders, sb.amps * spec.amp_transmission * np.exp(1j * spec.phase))
+    prop = _propagated(sys, drive, cfg, drive.delta_p, delta_rf=rf_grid)
     return demodulate(prop, cfg.lo_phase if lo_phase is None else lo_phase)
 
 

@@ -332,11 +332,13 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
     """
     from scipy.special import wofz  # ~0.3 s to import, so only where used
 
-    z = -1.0 / lam
-    zeta = z / (math.sqrt(2.0) * sigma)
-    s = np.where(zeta.imag >= 0, 1.0, -1.0)
-    plasma = 1j * s * math.sqrt(math.pi) * wofz(s * zeta)
-    return -z * (1.0 + zeta * plasma)
+    # lam = 0 (huge fields) gives inf or NaN quietly; susceptibility_batch rejects it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = -1.0 / lam
+        zeta = z / (math.sqrt(2.0) * sigma)
+        s = np.where(zeta.imag >= 0, 1.0, -1.0)
+        plasma = 1j * s * math.sqrt(math.pi) * wofz(s * zeta)
+        return -z * (1.0 + zeta * plasma)
 
 
 def _pole_form(lam: np.ndarray, direction: np.ndarray):

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +181,8 @@ class TestExitCodes:
         cfg.write_text(COLD_BASE.replace("kernel_hwhm_hz = 2.0e6", "kernel_hwhm_hz = 1e300"))
         rc = main(["matched", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
-        assert capsys.readouterr().err.startswith("error: OverflowError")
+        assert capsys.readouterr().err == (
+            "error: kernel HWHM 1e+300 Hz is too wide: its square overflows\n")
 
     def test_failed_linear_solve_is_a_numeric_failure(self, cold_config, tmp_path, capsys,
                                                       monkeypatch):
@@ -231,7 +233,8 @@ class TestExitCodes:
         text = (SHIPPED_CONFIGS / "default.cfg").read_text()
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(text.replace("e_operating = ", "e_operating = 1e300 # "))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
             rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
         err = capsys.readouterr().err

@@ -36,6 +36,7 @@ from rydfm.pipelines import (
 )
 from rydfm.quantum import CHUNK, FieldDrive, LadderSystem
 from rydfm.scenario import load_scenario
+from rydfm.spectroscopy import scan_probe
 
 TWO_PI = 2 * math.pi
 OMEGA_M = TWO_PI * 10e6
@@ -234,7 +235,7 @@ class TestPropagate:
 
     @pytest.mark.parametrize("carriers", [0.3e6, np.linspace(-30e6, 30e6, 7)])
     def test_bitwise_equal_to_product_formula(self, carriers):
-        # the in-place product keeps amps * t * exp(1j * phi), bit for bit
+        # propagate is amps * t * exp(1j * phi) of the interpolated samples, bit for bit
         spec = asymmetric_medium()
         sb = apply_ram(sidebands(0.7, 8, omega_m=OMEGA_M), RamParams(dphi_n=0.3))
         detunings = np.add.outer(TWO_PI * carriers, sb.orders * OMEGA_M)
@@ -371,55 +372,61 @@ class TestDemodulate:
         assert 0 < best < len(betas) - 1
 
 
+def comb_lockin(system, drive, cfg, carrier, lo_phase, ram=None):
+    """Lock-in output and DC power at one carrier by a path apart from rydfm.pipelines.
+
+    The medium is solved by scan_probe on the exact comb carrier +
+    arange(-n_max, n_max + 1) * omega_m, read by fm.propagate and demodulated
+    by the time-domain lock-in.
+    """
+    comb = carrier + np.arange(-cfg.n_max, cfg.n_max + 1) * cfg.omega_m
+    sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+    sb = sb if ram is None else apply_ram(sb, ram)
+    signal, dc = time_domain_lockin(propagate(sb, scan_probe(system, drive, comb), carrier),
+                                    lo_phase)
+    return signal[0], dc[0]
+
+
+def assert_scan_matches_comb_lockin(system, drive, cfg, carriers, ram):
+    inphase, quadrature = fm_probe_scan(system, drive, cfg, carriers, ram=ram)
+    for i, carrier in enumerate(carriers):
+        in_ref, dc = comb_lockin(system, drive, cfg, float(carrier), 0.0, ram)
+        quad_ref, _ = comb_lockin(system, drive, cfg, float(carrier), math.pi / 2, ram)
+        assert abs(inphase[i] - in_ref) <= 1e-13 * dc
+        assert abs(quadrature[i] - quad_ref) <= 1e-13 * dc
+
+
+class TestFmResponse:
+    @pytest.mark.parametrize("lo_phase", [math.pi / 2, 0.0, 0.4])
+    @pytest.mark.parametrize("carrier_hz", [0.0, -7.3e6, 12e6])
+    def test_matches_comb_lockin(self, cold_system, default_drive, lo_phase, carrier_hz):
+        cfg = FmConfig(n_max=6, lo_phase=lo_phase)
+        dressed = drive_at_field(cold_system, default_drive, 0.05)
+        signal, dc = fm_response(cold_system, dressed, cfg, TWO_PI * carrier_hz)
+        ref, ref_dc = comb_lockin(cold_system, dressed, cfg, TWO_PI * carrier_hz, cfg.lo_phase)
+        assert abs(signal - ref) <= 1e-13 * ref_dc
+        assert abs(dc - ref_dc) <= 1e-13 * ref_dc
+
+
 class TestFmProbeScan:
     @pytest.mark.parametrize("n_carriers", [1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("ram", [None, RamParams(dphi_n=0.3)])
-    def test_matches_per_carrier_lockin(self, cold_system, default_drive, monkeypatch, n_carriers, ram):
-        # the blocked scan against one propagate and one time-domain
-        # lock-in per carrier on the very spectrum the scan sampled
-        import rydfm.pipelines as pipelines
-
-        seen = []
-        real_scan_probe = pipelines.scan_probe
-
-        def recording_scan_probe(*args):
-            seen.append(real_scan_probe(*args))
-            return seen[-1]
-
-        monkeypatch.setattr(pipelines, "scan_probe", recording_scan_probe)
-        cfg = FmConfig(n_max=6)
+    def test_matches_per_carrier_lockin(self, cold_system, default_drive, n_carriers, ram):
+        # the whole scan against one medium solve, propagation and
+        # time-domain lock-in per carrier
         carriers = TWO_PI * np.linspace(-12e6, 9e6, n_carriers)
-        inphase, quadrature = fm_probe_scan(cold_system, default_drive, cfg, carriers, ram=ram)
-        sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
-        sb = sb if ram is None else apply_ram(sb, ram)
-        for i, carrier in enumerate(carriers):
-            prop = propagate(sb, seen[0], float(carrier))
-            in_ref, dc = time_domain_lockin(prop, 0.0)
-            quad_ref, _ = time_domain_lockin(prop, math.pi / 2)
-            assert abs(inphase[i] - in_ref[0]) <= 1e-13 * dc[0]
-            assert abs(quadrature[i] - quad_ref[0]) <= 1e-13 * dc[0]
-
-
-    @staticmethod
-    def assert_matches_fm_response_loop(system, drive, cfg, carriers, ram):
-        # the exact path against one sideband spectrum, propagation and
-        # closed-form lock-in per carrier
-        inphase, quadrature = fm_probe_scan(system, drive, cfg, carriers, ram=ram)
-        for i, carrier in enumerate(carriers):
-            in_ref, dc = fm_response(system, drive, cfg, float(carrier), lo_phase=0.0, ram=ram)
-            quad_ref, _ = fm_response(system, drive, cfg, float(carrier), lo_phase=math.pi / 2,
-                                      ram=ram)
-            assert abs(inphase[i] - in_ref) <= 1e-12 * dc
-            assert abs(quadrature[i] - quad_ref) <= 1e-12 * dc
+        assert_scan_matches_comb_lockin(cold_system, default_drive, FmConfig(n_max=6), carriers,
+                                        ram)
 
     @pytest.mark.parametrize("n_carriers", [1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("ram", [None, RamParams(dphi_n=0.3)])
     def test_off_lattice_step_matches_fm_response(self, warm_system, default_drive, n_carriers,
                                                   ram):
-        # a 0.3 MHz step is no divisor of the 10 MHz modulation, so no
-        # sideband of a carrier lands on another carrier
+        # against the FM response of each carrier by the comb path; a 0.3 MHz
+        # step is no divisor of the 10 MHz modulation, so no sideband of a
+        # carrier lands on another carrier
         carriers = TWO_PI * (-5e6 + 0.3e6 * np.arange(n_carriers))
-        self.assert_matches_fm_response_loop(warm_system, default_drive, FmConfig(), carriers, ram)
+        assert_scan_matches_comb_lockin(warm_system, default_drive, FmConfig(), carriers, ram)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
@@ -435,29 +442,18 @@ class TestFmProbeScan:
         drive = FieldDrive(omega_p=TWO_PI * 6.7e6, omega_c=TWO_PI * 7.0e6, delta_c=TWO_PI * 1e6)
         cfg = FmConfig(omega_m=TWO_PI * omega_m_hz, n_max=n_max)
         carriers = TWO_PI * (start_hz + ratio * omega_m_hz * np.arange(n_carriers))
-        self.assert_matches_fm_response_loop(cold, drive, cfg, carriers, None)
+        assert_scan_matches_comb_lockin(cold, drive, cfg, carriers, None)
 
-    def test_medium_samples_on_shipped_grid(self, cold_system, default_drive, monkeypatch):
+    def test_medium_samples_on_shipped_grid(self, cold_system, default_drive):
         # on the shipped commensurate grid, coinciding sidebands share a
         # sample: 121 carriers and 16 sideband steps of 20 grid steps each
-        import rydfm.pipelines as pipelines
-
-        seen = []
-        real_scan_probe = pipelines.scan_probe
-
-        def recording_scan_probe(system, drive, grid):
-            seen.append(grid)
-            return real_scan_probe(system, drive, grid)
-
-        monkeypatch.setattr(pipelines, "scan_probe", recording_scan_probe)
         scn = load_scenario(str(Path(__file__).resolve().parent.parent / "configs" / "default.cfg"))
         carriers = scn.scan.probe_grid_rad_s()
-        fm_probe_scan(cold_system, default_drive, scn.fm, carriers)
-        (grid,) = seen
-        assert carriers.size == 121 and grid.size == 441
-        assert np.all(np.diff(grid) > 0)
-        assert grid[0] == carriers[0] - 8 * scn.fm.omega_m
-        assert grid[-1] == carriers[-1] + 8 * scn.fm.omega_m
+        spec = sideband_spectrum(cold_system, default_drive, scn.fm, carriers)
+        assert carriers.size == 121 and spec.grid.size == 441 and spec.chi.shape == (441,)
+        assert np.all(np.diff(spec.grid) > 0)
+        assert spec.grid[0] == carriers[0] - 8 * scn.fm.omega_m
+        assert spec.grid[-1] == carriers[-1] + 8 * scn.fm.omega_m
 
     @pytest.mark.parametrize("carrier", [0.0, -TWO_PI * 3.7e6, TWO_PI * 29.9e6])
     def test_one_carrier_grid_is_the_sideband_comb(self, carrier):
@@ -478,24 +474,30 @@ class TestFmProbeScan:
 
 class TestRfDetuningScan:
     def test_matches_per_row_lockin(self, cold_system, default_drive):
-        # every RF row at once against one exact sideband spectrum, one
-        # propagation and one time-domain lock-in per RF detuning
+        # every RF row at once against one medium solve, propagation and
+        # time-domain lock-in per RF detuning
         cfg = FmConfig(n_max=6)
         rf_grid = TWO_PI * np.linspace(-6e6, 6e6, CHUNK + 1)
         dressed = drive_at_field(cold_system, default_drive, 0.05)
         signal = rf_detuning_scan(cold_system, dressed, cfg, rf_grid)
-        sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
+        assert signal.shape == rf_grid.shape
         for value, delta_rf in zip(signal, rf_grid):
             drive = replace(dressed, delta_rf=delta_rf)
-            spec = sideband_spectrum(cold_system, drive, cfg, drive.delta_p)
-            ref, dc = time_domain_lockin(propagate(sb, spec, drive.delta_p), cfg.lo_phase)
-            assert abs(value - ref[0]) <= 1e-13 * dc[0]
+            ref, dc = comb_lockin(cold_system, drive, cfg, drive.delta_p, cfg.lo_phase)
+            assert abs(value - ref) <= 1e-13 * dc
 
-    def test_unresolvable_modulation_rejected(self, cold_system, default_drive):
-        # sidebands 2 ulps apart at a 1e10 rad/s carrier merge into one sample
-        drive = replace(default_drive, delta_p=1e10)
-        with pytest.raises(InvariantViolation, match="float resolution"):
-            rf_detuning_scan(cold_system, drive, FmConfig(omega_m=4e-6), np.zeros(3))
+    def test_merged_orders_match_fm_response(self, cold_system, default_drive):
+        # sidebands 2 ulps apart at a 1e10 rad/s carrier merge into shared
+        # samples, which every RF row reads alike
+        cfg = FmConfig(omega_m=4e-6)
+        dressed = drive_at_field(cold_system, replace(default_drive, delta_p=1e10), 0.05)
+        assert _sideband_grid(cfg, dressed.delta_p).size < 2 * cfg.n_max + 1
+        rf_grid = TWO_PI * np.array([-3e6, 0.0, 2e6])
+        signal = rf_detuning_scan(cold_system, dressed, cfg, rf_grid)
+        for value, delta_rf in zip(signal, rf_grid):
+            drive = replace(dressed, delta_rf=delta_rf)
+            ref, dc = fm_response(cold_system, drive, cfg, drive.delta_p)
+            assert abs(value - ref) <= 1e-12 * dc
 
 
 class TestRamPhotocurrent:
