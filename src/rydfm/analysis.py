@@ -15,6 +15,7 @@ from .errors import (
     KernelTooNarrowError,
     NonConvergenceError,
     ZeroResponsivityError,
+    require,
 )
 from .fm import FmConfig
 from .noise import TimeSeries
@@ -66,8 +67,7 @@ class LorentzParams:
     nu_c: float
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise InvariantViolation("sigma must be > 0")
+        require(self, positive=("sigma",))
 
     @property
     def fwhm(self) -> float:
@@ -113,12 +113,9 @@ class DetectorModel:
     n_participating: float = 1e5
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise InvariantViolation("eta must lie in (0, 1]")
-        if self.power_w <= 0 or not 0 < self.signal_fraction <= 1:
-            raise InvariantViolation("power must be > 0 and signal_fraction in (0, 1]")
-        if self.n_participating <= 0:
-            raise InvariantViolation("n_participating must be > 0")
+        require(self, positive=("eta", "power_w", "signal_fraction", "n_participating"))
+        if not (self.eta <= 1 and self.signal_fraction <= 1):
+            raise InvariantViolation("eta and signal_fraction must be <= 1")
 
     def responsivity_a_per_w(self, wavelength: float) -> float:
         """Detector responsivity eta e / (h nu)."""
@@ -133,9 +130,7 @@ class SensitivityReport:
     projection_limit_value: float  # V/m per sqrt(Hz)
 
     def __post_init__(self) -> None:
-        for name in ("responsivity", "noise_floor", "e_min", "projection_limit_value"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"{name} must be >= 0")
+        require(self, nonnegative=("responsivity", "noise_floor", "e_min", "projection_limit_value"))
 
 
 def allan_deviation(ts: TimeSeries, taus) -> AllanResult:
@@ -207,7 +202,7 @@ def lorentzian_kernel(hwhm: float, step: float, max_len: int) -> np.ndarray:
     Support is +-8 HWHM (99.9% of the kernel energy) and at most `max_len`
     samples, re-normalized after truncation.
     """
-    half = min(int(math.ceil(8 * hwhm / step)), (max_len - 1) // 2)
+    half = math.ceil(min(8 * hwhm / step, (max_len - 1) // 2))  # the ratio may overflow to inf
     offsets = np.arange(-half, half + 1) * step
     kernel = hwhm / (offsets ** 2 + hwhm ** 2)
     return kernel / np.linalg.norm(kernel)
@@ -343,7 +338,8 @@ def sensitivity_estimate(
     responsivity = abs(derivative)
     noise_floor = math.sqrt(2 * E_CHARGE * (responsivity_pd * detector.power_w * dc_rel))
     e_min = noise_floor / responsivity
-    limit = projection_limit(sys.mu_rf, detector.n_participating, 1.0 / sys.gamma_deph)
+    t2 = 1.0 / sys.gamma_deph if sys.gamma_deph else math.inf  # no dephasing: no projection limit
+    limit = projection_limit(sys.mu_rf, detector.n_participating, t2)
     return SensitivityReport(
         responsivity=responsivity,
         noise_floor=noise_floor,

@@ -382,6 +382,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     loaded = False
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InvariantViolation(f"--seed must be >= 0, got {args.seed}")
         scn = load_scenario(args.config)
         loaded = True
         seed = args.seed if args.seed is not None else scn.noise.seed

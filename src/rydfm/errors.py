@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all simulator modules."""
+"""Exception hierarchy shared by all simulator modules, and the domain-field check."""
+import math
+from dataclasses import fields
 
 
 class RydfmError(Exception):
@@ -17,6 +19,19 @@ class UnknownKeyError(ParseError):
 
 class InvariantViolation(RydfmError, ValueError):
     """A domain-type invariant failed (bad sign, bad range, bad shape)."""
+
+
+def require(obj, positive=(), nonnegative=()) -> None:
+    """Raise InvariantViolation unless every `float` or `float | None` field of dataclass
+    `obj` is finite or None, each in `positive` > 0 and each in `nonnegative` >= 0 (NaN fails)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("float", "float | None") and value is not None and not math.isfinite(value):
+            raise InvariantViolation(f"{f.name} must be finite, got {value!r}")
+    for name in (*positive, *nonnegative):
+        value, strict = getattr(obj, name), name in positive
+        if value is not None and not (value > 0 or value == 0 and not strict):
+            raise InvariantViolation(f"{name} must be {'>' if strict else '>='} 0, got {value!r}")
 
 
 # --- numeric / physics errors ----------------------------------------------

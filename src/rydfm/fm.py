@@ -23,6 +23,7 @@ from .errors import (
     InvariantViolation,
     OutOfGridError,
     TruncationError,
+    require,
 )
 from .spectroscopy import MediumSpectrum
 
@@ -72,13 +73,10 @@ class FmConfig:
     lo_phase: float = math.pi / 2
 
     def __post_init__(self) -> None:
-        if not (0 < self.omega_m < math.inf):
-            raise InvariantViolation("omega_m must be finite and > 0")
-        if not math.isfinite(self.lo_phase):
-            raise InvariantViolation("lo_phase must be finite")
         if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
             raise InvariantViolation(f"n_max must be an integer, got {self.n_max!r}")
-        _check_truncation(self.beta, self.n_max)
+        _check_truncation(self.beta, self.n_max)  # first, so a NaN beta is a TruncationError
+        require(self, positive=("omega_m",))
 
 
 @dataclass
@@ -100,14 +98,10 @@ class RamParams:
     e0_sq: float = 1.0
 
     def __post_init__(self) -> None:
+        require(self, nonnegative=("e0_sq",))
         for name in ("alpha", "beta_angle"):
             if not -math.pi / 2 < getattr(self, name) < math.pi / 2:
                 raise InvariantViolation(f"{name} must lie in (-pi/2, pi/2)")
-        for name in ("m_diff", "dphi_n", "dphi_dc"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvariantViolation(f"{name} must be finite")
-        if not (0 <= self.e0_sq < math.inf):
-            raise InvariantViolation("e0_sq must be finite and >= 0")
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, E_CHARGE, H_PLANCK
-from .errors import InvariantViolation, UnsupportedKindError
+from .errors import InvariantViolation, UnsupportedKindError, require
 
 SPECTRAL_SLOPES = {
     "white_pm": 2.0,
@@ -39,8 +39,7 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if not (0 < self.dt < math.inf):
-            raise InvariantViolation("dt must be finite and > 0")
+        require(self, positive=("dt",))
         if self.values.size < 2:
             raise InvariantViolation("a time series needs at least 2 samples")
         if not np.all(np.isfinite(self.values)):
@@ -65,9 +64,7 @@ class NoiseBudget:
     rw_fm: float = 0.0
 
     def __post_init__(self) -> None:
-        for kind in SPECTRAL_SLOPES:
-            if not (0 <= getattr(self, kind) < math.inf):
-                raise InvariantViolation(f"coefficient {kind} must be finite and >= 0")
+        require(self, nonnegative=tuple(SPECTRAL_SLOPES))
 
     def items(self):
         return [(kind, getattr(self, kind)) for kind in SPECTRAL_SLOPES]

@@ -21,7 +21,7 @@ gamma_deph = 1/T2 damps every coherence involving |3> or |4>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     InvariantViolation,
     NonConvergenceError,
     SingularSystemError,
+    require,
 )
 
 # Velocities below this are treated as a zero-temperature (delta-function)
@@ -57,14 +58,6 @@ def cs_vapor_density(temperature: float) -> float:
     return pressure_pa / (KB * temperature)
 
 
-def _require_finite(obj) -> None:
-    """Reject NaN or infinite dataclass fields (None means "not set")."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None and not math.isfinite(value):
-            raise InvariantViolation(f"{f.name} must be finite, got {value!r}")
-
-
 @dataclass
 class LadderSystem:
     """Atomic constants of the four-level ladder."""
@@ -85,22 +78,13 @@ class LadderSystem:
     cell_length: float = 0.03
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require(self, positive=("lambda_probe", "lambda_coupling", "cell_length", "atom_mass"),
+                nonnegative=("gamma2", "gamma3", "gamma4", "gamma_deph", "n_atoms", "temperature"))
         if self.n_atoms is None:
             self.n_atoms = cs_vapor_density(self.temperature)
             if self.n_atoms == 0.0:
-                raise InvariantViolation(
-                    f"vapor-pressure fit underflows at T = {self.temperature} K; "
-                    "pass n_atoms explicitly"
-                )
-        for name in ("gamma2", "gamma3", "gamma4", "gamma_deph", "n_atoms"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"{name} must be >= 0")
-        for name in ("lambda_probe", "lambda_coupling", "cell_length"):
-            if getattr(self, name) <= 0:
-                raise InvariantViolation(f"{name} must be > 0")
-        if self.atom_mass <= 0 or self.temperature < 0:
-            raise InvariantViolation("atom_mass must be > 0 and temperature >= 0")
+                raise InvariantViolation(f"vapor-pressure fit underflows at T = {self.temperature} K; "
+                                         "pass n_atoms explicitly")
 
     @property
     def k_probe(self) -> float:
@@ -128,10 +112,7 @@ class FieldDrive:
     delta_rf: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        for name in ("omega_p", "omega_c", "omega_rf"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"{name} must be >= 0")
+        require(self, nonnegative=("omega_p", "omega_c", "omega_rf"))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import pipelines
 from .analysis import DetectorModel
-from .errors import InvariantViolation, ParseError, UnknownKeyError
+from .errors import InvariantViolation, ParseError, UnknownKeyError, require
 from .fm import FmConfig, RamParams, index_from_dbm
 from .noise import NoiseBudget
 from .quantum import FieldDrive, LadderSystem
@@ -77,8 +77,7 @@ class ServoOpts:
     def __post_init__(self) -> None:
         if self.drift_model not in ("constant", "ramp", "sinusoid", "random_walk"):
             raise InvariantViolation(f"unknown drift model {self.drift_model!r}")
-        if self.duration_s <= 0:
-            raise InvariantViolation("duration_s must be > 0")
+        require(self, positive=("duration_s",), nonnegative=("drift_step_std",))
 
 
 @dataclass
@@ -97,10 +96,7 @@ class NoiseOpts:
             raise InvariantViolation(f"noise kind must be one of {valid}")
         if not (2 <= self.n_samples <= MAX_NOISE_SAMPLES):
             raise InvariantViolation(f"n_samples must lie in [2, {MAX_NOISE_SAMPLES}]")
-        if self.dt <= 0:
-            raise InvariantViolation("dt must be > 0")
-        if self.coefficient < 0 or self.shot_current_a < 0:
-            raise InvariantViolation("coefficient and shot_current_a must be >= 0")
+        require(self, positive=("dt",), nonnegative=("coefficient", "shot_current_a", "seed"))
 
 
 @dataclass
@@ -119,16 +115,11 @@ class ScanOpts:
     def __post_init__(self) -> None:
         if self.quantity not in ("probe_detuning", "rf_field"):
             raise InvariantViolation("quantity must be probe_detuning or rf_field")
-        if self.step_hz <= 0 or self.e_step <= 0:
-            raise InvariantViolation("grid steps must be > 0")
-        if self.stop_hz <= self.start_hz:
-            raise InvariantViolation("stop_hz must exceed start_hz")
-        if self.e_stop <= self.e_start:
-            raise InvariantViolation("e_stop must exceed e_start")
-        if self.kernel_hwhm_hz <= 0 or self.e_operating <= 0:
-            raise InvariantViolation("kernel_hwhm_hz and e_operating must be > 0")
-        if self.line_noise_rms < 0:
-            raise InvariantViolation("line_noise_rms must be >= 0")
+        require(self, positive=("step_hz", "e_step", "kernel_hwhm_hz", "e_operating"),
+                nonnegative=("line_noise_rms",))
+        for start, stop in (("start_hz", "stop_hz"), ("e_start", "e_stop")):
+            if not getattr(self, stop) > getattr(self, start):
+                raise InvariantViolation(f"{stop} must exceed {start}")
         self.detuning_points()
         _grid_points(self.e_start, self.e_stop, self.e_step, "field")
 

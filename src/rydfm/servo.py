@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, UnstableLoopError
+from .errors import InvariantViolation, UnstableLoopError, require
 from .fm import RamParams, _ram_amplitude
 
 
@@ -28,12 +28,7 @@ class PidGains:
     integrator_clamp: float = 50.0
 
     def __post_init__(self) -> None:
-        for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvariantViolation(f"{name} must be finite")
-        for name in ("dt", "output_clamp", "integrator_clamp"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise InvariantViolation(f"{name} must be finite and > 0")
+        require(self, positive=("dt", "output_clamp", "integrator_clamp"))
 
 
 @dataclass

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPS0, HBAR, H_PLANCK
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, require
 from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 
 
@@ -72,8 +72,7 @@ class AtResult:
     peak_locations: tuple[float, float] | None  # rad/s detunings
 
     def __post_init__(self) -> None:
-        if self.split_hz is not None and self.split_hz < 0:
-            raise InvariantViolation("split_hz must be >= 0")
+        require(self, nonnegative=("split_hz",))
 
     @property
     def confidence(self) -> str:

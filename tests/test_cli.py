@@ -550,3 +550,48 @@ class TestWriteCsv:
             write_csv(path, self.HEADER, ["a"], np.ones((3 * CSV_BLOCK_ROWS, 1)))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+class TestBadFieldsThroughCli:
+    """Inputs that once ended in a traceback or an error naming no key."""
+
+    def run(self, text, args, tmp_path, capsys):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        rc = main(args + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["noise", "allan"])
+    def test_negative_seed_key(self, subcommand, tmp_path, capsys):
+        text = COLD_BASE.replace("dt = 1e-3", "dt = 1e-3\nseed = -1")
+        rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [noise] seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize("subcommand", ["noise", "servo"])
+    def test_negative_seed_option(self, subcommand, tmp_path, capsys):
+        rc, err = self.run(COLD_BASE, [subcommand, "--seed", "-1"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: --seed must be >= 0, got -1\n")
+
+    def test_negative_random_walk_step(self, tmp_path, capsys):
+        text = COLD_BASE.replace(
+            "duration_s = 1.0", "duration_s = 1.0\ndrift_model = random_walk\ndrift_step_std = -1")
+        rc, err = self.run(text, ["servo"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [ram] drift_step_std must be >= 0, got -1.0\n")
+
+    def test_kernel_span_overflowing_the_step(self, tmp_path, capsys):
+        # 8 * kernel_hwhm_hz / step_hz overflows although the HWHM squared does not
+        text = (COLD_BASE.replace("start_hz = -10e6", "start_hz = -1e-153")
+                .replace("stop_hz = 10e6", "stop_hz = 1e-153")
+                .replace("step_hz = 0.5e6", "step_hz = 1e-155")
+                .replace("kernel_hwhm_hz = 2.0e6", "kernel_hwhm_hz = 1e153"))
+        rc, err = self.run(text, ["matched"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        rows = np.loadtxt(tmp_path / "o" / "matched.csv", delimiter=",")
+        assert rows.shape == (201, 4) and np.all(np.isfinite(rows))
+
+    def test_no_dephasing_has_no_projection_limit(self, tmp_path, capsys):
+        text = COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\ngamma_deph = 0")
+        rc, err = self.run(text, ["sensitivity"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        report = (tmp_path / "o" / "sensitivity.txt").read_text()
+        assert "projection_limit_v_per_m_sqrt_hz = 0.000000000000e+00" in report
