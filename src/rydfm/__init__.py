@@ -59,7 +59,6 @@ from .spectroscopy import (
     MediumSpectrum,
     at_splitting,
     field_from_splitting,
-    rabi_from_power,
     scan_probe,
     splitting_from_field,
 )
@@ -81,5 +80,5 @@ __all__ = [
     "PidGains", "ServoTrace", "pid_step", "run_servo",
     "ziegler_nichols_gains",
     "AtResult", "MediumSpectrum", "at_splitting", "field_from_splitting",
-    "rabi_from_power", "scan_probe", "splitting_from_field",
+    "scan_probe", "splitting_from_field",
 ]

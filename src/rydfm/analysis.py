@@ -156,8 +156,11 @@ def allan_deviation(ts: TimeSeries, taus) -> AllanResult:
             )
         # per-block mean (not a cumsum difference) so identical blocks give
         # bit-identical means and e.g. a constant series yields exactly zero
-        diffs = np.diff(values[: bins * m].reshape(bins, m).mean(axis=1))
-        sigma[i] = math.sqrt(float(np.mean(diffs ** 2)) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sigma is raised below
+            diffs = np.diff(values[: bins * m].reshape(bins, m).mean(axis=1))
+            sigma[i] = math.sqrt(float(np.mean(diffs ** 2)) / 2.0)
+        if not math.isfinite(sigma[i]):
+            raise DomainError(f"Allan deviation at tau = {tau:g} s overflows: the series is too large")
         counts[i] = diffs.size
     return AllanResult(taus=taus, sigma_y=sigma, counts=counts)
 

@@ -227,19 +227,18 @@ def _drift_from_opts(opts, seed: int):
 def run_servo(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     drift = _drift_from_opts(scn.servo, seed)
     header = _header(scn, seed)
-    outputs = []
-    traces = {}
+    traces, allans = {}, {}
     for label, lock in (("locked", True), ("unlocked", False)):
         trace = servo.run_servo(drift, scn.gains, scn.servo.duration_s, ram=scn.ram, lock=lock)
-        traces[label] = trace
+        ts = noise.TimeSeries(dt=scn.gains.dt, values=trace.error, seed=seed, kind="composite")
+        traces[label], allans[label] = trace, analysis.allan_deviation(ts, analysis.octave_taus(ts))
+    outputs = []  # written only once both Allan deviations exist, so a failure writes nothing
+    for label, trace in traces.items():
         rows = np.column_stack([trace.time, trace.dphi_n, trace.dphi_dc, trace.error])
         path = outdir / f"servo_trace_{label}.csv"
         write_csv(path, header, ["time_s", "dphi_n_rad", "dphi_dc_rad", "error"], rows)
         outputs.append(path)
-    for label, trace in traces.items():
-        ts = noise.TimeSeries(dt=scn.gains.dt, values=trace.error, seed=seed, kind="composite")
-        taus = analysis.octave_taus(ts)
-        result = analysis.allan_deviation(ts, taus)
+    for label, result in allans.items():
         rows = np.column_stack([result.taus, result.sigma_y, result.counts])
         path = outdir / f"servo_allan_{label}.csv"
         write_csv(path, header, ["tau_s", "sigma_y", "n_bins"], rows)

@@ -8,9 +8,10 @@ import numpy as np
 from .constants import HBAR
 from .fm import FmConfig, RamParams, SidebandSet, apply_ram, dc_power, demodulate, sidebands
 from .quantum import FieldDrive, LadderSystem, susceptibility_batch
-from .spectroscopy import AtResult, MediumSpectrum, at_splitting, scan_probe
+from .spectroscopy import AtResult, MediumSpectrum, at_splitting
 
 MERGE_ULPS = 4  # sideband detunings this close (in ulps) are one medium sample
+AT_BLOCK_POINTS = 2 ** 16  # most operating points one `at_calibration` batch holds
 
 
 def drive_at_field(sys: LadderSystem, drive: FieldDrive, e_rf: float) -> FieldDrive:
@@ -104,9 +105,12 @@ def at_calibration(
     fields: np.ndarray,
     grid: np.ndarray,
 ) -> list[tuple[float, AtResult]]:
-    """AT splitting extracted from a probe scan at each RF field amplitude."""
+    """AT splitting of a probe scan at each RF field, solved in batches of whole fields."""
+    fields, per_call = [float(e_rf) for e_rf in fields], max(1, AT_BLOCK_POINTS // max(1, len(grid)))
     results = []
-    for e_rf in np.asarray(fields, dtype=float):
-        spec = scan_probe(sys, drive_at_field(sys, drive, float(e_rf)), grid)
-        results.append((float(e_rf), at_splitting(spec)))
+    for i in range(0, len(fields), per_call):
+        omega_rf = [[drive_at_field(sys, drive, e_rf).omega_rf] for e_rf in fields[i:i + per_call]]
+        spec = MediumSpectrum.from_chi(sys, grid, susceptibility_batch(sys, drive, grid, omega_rf=omega_rf))
+        results += [(e_rf, at_splitting(MediumSpectrum(spec.grid, *row)))
+                    for e_rf, *row in zip(fields[i:], spec.chi, spec.amp_transmission, spec.phase)]
     return results

@@ -22,16 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .constants import A0, CS_MASS, E_CHARGE, EPS0, HBAR, KB
-from .errors import (
-    InvariantViolation,
-    NonConvergenceError,
-    SingularSystemError,
-    require,
-)
+from .errors import DomainError, InvariantViolation, NonConvergenceError, SingularSystemError, require
 
 # Velocities below this are treated as a zero-temperature (delta-function)
 # Maxwell distribution.
@@ -180,43 +176,39 @@ def build_hamiltonian(sys: LadderSystem, drive: FieldDrive, v: float = 0.0) -> n
     return h
 
 
-def _collapse_operators(sys: LadderSystem) -> list[np.ndarray]:
-    ops = []
-    for rate, target, source in ((sys.gamma2, 0, 1), (sys.gamma3, 1, 2), (sys.gamma4, 0, 3)):
-        c = np.zeros((4, 4))
-        c[target, source] = math.sqrt(rate)
-        ops.append(c)
-    return ops
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 4x4 operators: the same products, in one broadcast."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(16, 16)
 
 
-def _dephasing_diagonal(sys: LadderSystem) -> np.ndarray:
-    """Vec-space diagonal damping every coherence involving |3> or |4>."""
-    damp = np.zeros(16)
-    for i in range(4):
-        for j in range(4):
-            if i != j and (i >= 2 or j >= 2):
-                damp[4 * i + j] = -sys.gamma_deph
-    return damp
+@lru_cache(maxsize=16)
+def _dissipator(gamma2: float, gamma3: float, gamma4: float, gamma_deph: float) -> np.ndarray:
+    """Lindblad dissipator as a read-only 16x16 superoperator (row-major vec).
 
-
-def _dissipator(sys: LadderSystem) -> np.ndarray:
-    """Lindblad dissipator as a 16x16 superoperator (row-major vec)."""
+    Built once per set of rates.  Rates that compare equal (0, 0.0 and -0.0)
+    share an entry: they give the same bytes, since a zero rate only adds
+    signed zeros to entries that end as +0.0 or nonzero.
+    """
     eye = np.eye(4)
     d = np.zeros((16, 16), dtype=complex)
-    for c in _collapse_operators(sys):
+    for rate, target, source in ((gamma2, 0, 1), (gamma3, 1, 2), (gamma4, 0, 3)):
+        c = np.zeros((4, 4))
+        c[target, source] = math.sqrt(rate)
         cdc = c.T @ c
-        d += np.kron(c, c)                      # C rho C^dag  (C is real)
-        d -= 0.5 * np.kron(cdc, eye)
-        d -= 0.5 * np.kron(eye, cdc.T)
-    d += np.diag(_dephasing_diagonal(sys)).astype(complex)
+        d += _kron(c, c)                        # C rho C^dag  (C is real)
+        d -= 0.5 * _kron(cdc, eye)
+        d -= 0.5 * _kron(eye, cdc.T)
+    i, j = np.divmod(np.arange(16), 4)          # dephasing: coherences involving |3> or |4>
+    d += np.diag(np.where((i != j) & ((i >= 2) | (j >= 2)), -gamma_deph, 0.0)).astype(complex)
+    d.flags.writeable = False
     return d
 
 
 def build_liouvillian(h: np.ndarray, sys: LadderSystem) -> np.ndarray:
     """16x16 generator L with d vec(rho)/dt = L vec(rho), row-major vec."""
     eye = np.eye(4)
-    commutator = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    return commutator + _dissipator(sys)
+    commutator = -1j * (_kron(h, eye) - _kron(eye, h.T))
+    return commutator + _dissipator(sys.gamma2, sys.gamma3, sys.gamma4, sys.gamma_deph)
 
 
 def _trace_solve(lam: np.ndarray, unit_cols=()) -> np.ndarray:
@@ -282,8 +274,8 @@ _DIAG_IDX = np.arange(16)
 
 
 def _with_diagonal(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Stack of base + diag(offset) for each 16-vector of `offsets` (..., 16)."""
-    lam = np.broadcast_to(base, offsets.shape[:-1] + base.shape).copy()
+    """Stack of base + diag(offset), `base` (..., 16, 16) broadcast with `offsets` (..., 16)."""
+    lam = np.broadcast_to(base, np.broadcast_shapes(base.shape, offsets.shape[:-1] + (1, 1))).copy()
     lam[..., _DIAG_IDX, _DIAG_IDX] += offsets
     return lam
 
@@ -369,30 +361,35 @@ def _detuned(base: np.ndarray, delta_p, delta_rf) -> np.ndarray:
                           + np.multiply.outer(delta_rf, _RF_DIAGONAL))
 
 
-def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf) -> np.ndarray:
+def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf, omega_rf=None) -> np.ndarray:
     """Maxwell-Boltzmann averaged probe coherence at a batch of operating points.
 
-    The points share the Rabi frequencies and coupling detuning of `drive`
-    and take their probe and RF detunings from `delta_p` and `delta_rf`
-    (broadcast together; the result has their shape).  The Liouvillian is
-    built once; each point is that matrix plus a diagonal, since the
-    diagonal is affine in delta_p, delta_rf and v.  A warm cell is solved
+    The points share the other fields of `drive` and take their probe and RF
+    detunings and RF Rabi frequency from `delta_p`, `delta_rf` and `omega_rf`
+    (default `drive.omega_rf`), broadcast together into the result's shape.
+    One Liouvillian is built per RF Rabi frequency; each point is that matrix
+    plus a diagonal, affine in delta_p, delta_rf and v.  A warm cell is solved
     in stacks of `CHUNK` points, a cold one a fixed detuning at a time.
     """
-    delta_p, delta_rf = np.broadcast_arrays(
-        np.asarray(delta_p, dtype=float), np.asarray(delta_rf, dtype=float)
-    )
+    omega_rf = np.asarray(drive.omega_rf if omega_rf is None else omega_rf, dtype=float)
+    rabi, owner = np.unique(omega_rf, return_inverse=True)
+    delta_p, delta_rf = np.asarray(delta_p, dtype=float), np.asarray(delta_rf, dtype=float)
+    delta_p, delta_rf, owner = np.broadcast_arrays(delta_p, delta_rf, owner.reshape(omega_rf.shape))
     if not (np.all(np.isfinite(delta_p)) and np.all(np.isfinite(delta_rf))):
         raise InvariantViolation("operating-point detunings must be finite")
-    reference = replace(drive, delta_p=0.0, delta_rf=0.0)
-    base = build_liouvillian(build_hamiltonian(sys, reference), sys)
-    probe, rf = delta_p.ravel(), delta_rf.ravel()
+
+    @lru_cache(maxsize=CHUNK)  # a stack spans at most CHUNK RF Rabi frequencies
+    def base(k: int) -> np.ndarray:
+        reference = replace(drive, omega_rf=float(rabi[k]), delta_p=0.0, delta_rf=0.0)
+        return build_liouvillian(build_hamiltonian(sys, reference), sys)
+    probe, rf, owner = delta_p.ravel(), delta_rf.ravel(), owner.ravel()
     if sys.v_thermal < V_THERMAL_FLOOR:
-        return _cold_rho21(base, probe, rf).reshape(delta_p.shape)
+        return _cold_rho21(base, owner, probe, rf).reshape(delta_p.shape)
     out = np.empty(probe.size, dtype=complex)
     for start in range(0, probe.size, CHUNK):
         chunk = slice(start, start + CHUNK)
-        out[chunk] = _warm_rho21(sys, base, probe[chunk], rf[chunk])
+        bases = np.array([base(k) for k in owner[chunk].tolist()])
+        out[chunk] = _warm_rho21(sys, bases, probe[chunk], rf[chunk])
     return out.reshape(delta_p.shape)
 
 
@@ -416,33 +413,38 @@ def _warm_rho21(
     return c0 - np.sum(alpha * _mean_pole_term(poles, sys.v_thermal), axis=-1)
 
 
-def _cold_rho21(base: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray) -> np.ndarray:
+def _cold_rho21(base, owner: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray) -> np.ndarray:
     """rho21 of a Doppler-free cell (the v = 0 steady state) at every point.
 
-    Grouped by whichever of delta_rf and delta_p has fewer distinct values,
-    the other moves the Liouvillian along its diagonal, so one `_pole_form`
-    about a point of a group serves all of it.  Direct solves check every
-    `CHUNK`-th point of a group, its last point and its largest |rho21|.
+    Grouped by RF Rabi frequency and by whichever of delta_rf and delta_p has
+    fewer distinct values, the other moves `base(owner)` along its diagonal, so
+    one `_pole_form` about a point of a group serves all of it.  Direct solves of
+    `CHUNK` groups at a time check every `CHUNK`-th, last and largest-|rho21| point.
     """
     fixed, along, direction = ((delta_rf, delta_p, _PROBE_DIAGONAL)
                                if np.unique(delta_rf).size <= np.unique(delta_p).size
                                else (delta_p, delta_rf, _RF_DIAGONAL))
-    order = np.argsort(fixed, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(fixed[order])) + 1) if order.size else []
+    order = np.lexsort((fixed, owner))
+    cuts = np.flatnonzero((np.diff(owner[order]) != 0) | (np.diff(fixed[order]) != 0)) + 1
+    groups = np.split(order, cuts) if order.size else []
     out = np.empty(delta_p.size, dtype=complex)
-    for idx in groups:
-        ref = idx[idx.size // 2]
-        c0, alpha, poles, vecs = _pole_form(_detuned(base, delta_p[ref], delta_rf[ref]), direction)
-        x = along[idx] - along[ref]
-        # one pole at a time, so the work arrays stay the size of the group
-        out[idx] = rational = c0 - sum(a * x / (1.0 + lam * x) for a, lam in zip(alpha, poles))
-        last, largest = idx.size - 1, np.argmax(np.abs(rational))
-        check = np.unique(np.r_[np.arange(0, idx.size, CHUNK), last, largest])
-        pts = idx[check]
-        direct = np.concatenate([_steady_rho21_many(_detuned(base, delta_p[s], delta_rf[s]))
-                                 for s in np.array_split(pts, -(-pts.size // CHUNK))])
-        _self_check(rational[check, None], direct[:, None], delta_p[pts], delta_rf[pts],
-                    np.broadcast_to(vecs, (pts.size,) + vecs.shape), "detuning")
+    for first in range(0, len(groups), CHUNK):
+        checks = []
+        for idx in groups[first:first + CHUNK]:
+            ref = idx[idx.size // 2]
+            at_ref = _detuned(base(int(owner[ref])), delta_p[ref], delta_rf[ref])
+            c0, alpha, poles, vecs = _pole_form(at_ref, direction)
+            x = along[idx] - along[ref]
+            # one pole at a time, so the work arrays stay the size of the group
+            out[idx] = rational = c0 - sum(a * x / (1.0 + lam * x) for a, lam in zip(alpha, poles))
+            check = np.r_[np.arange(0, idx.size, CHUNK), idx.size - 1, np.argmax(np.abs(rational))]
+            checks.append((idx[np.unique(check)], vecs))
+        pts = np.concatenate([p for p, _ in checks])
+        direct = np.concatenate([_steady_rho21_many(_detuned(
+            np.array([base(k) for k in owner[p].tolist()]), delta_p[p], delta_rf[p]))
+            for p in np.split(pts, np.arange(CHUNK, pts.size, CHUNK))])
+        _self_check(out[pts, None], direct[:, None], delta_p[pts], delta_rf[pts],
+                    [vecs for p, vecs in checks for _ in p], "detuning")
     return out
 
 
@@ -456,19 +458,21 @@ def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
 
 
 def susceptibility_batch(
-    sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf=None
+    sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf=None, omega_rf=None
 ) -> np.ndarray:
     """Complex probe susceptibility at a batch of operating points.
 
     chi = 2 n mu12^2 <rho21> / (eps0 hbar Omega_p) with <rho21> the
     Doppler-averaged probe coherence of the full nonlinear steady state.
-    The points are `drive` with its probe detuning replaced by each entry
-    of `delta_p` and its RF detuning by `delta_rf` (default
-    `drive.delta_rf`), broadcast together into the shape of the result.
+    The points are `drive` with its probe detuning, RF detuning and RF Rabi
+    frequency replaced by the entries of `delta_p`, `delta_rf` and `omega_rf`
+    (default: those of `drive`), broadcast together into the result's shape.
     """
     if not (drive.omega_p > 0):
         raise InvariantViolation("susceptibility requires omega_p > 0")
-    rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf)
+    if not abs(sys.mu12) <= math.sqrt(np.finfo(float).max):  # else mu12 ** 2 overflows
+        raise DomainError(f"mu12 = {sys.mu12:g} C m is too large: its square overflows")
+    rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf, omega_rf)
     chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
     if not np.all(np.isfinite(chi)):
         raise NonConvergenceError(f"susceptibility is not finite at {np.sum(~np.isfinite(chi))} "

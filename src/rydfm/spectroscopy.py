@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT, EPS0, HBAR, H_PLANCK
+from .constants import H_PLANCK
 from .errors import DomainError, InvariantViolation, require
 from .quantum import FieldDrive, LadderSystem, susceptibility_batch
 
@@ -208,21 +208,6 @@ def splitting_from_field(e_field: float, mu_rf: float) -> float:
     if mu_rf <= 0:
         raise DomainError("mu_rf must be positive")
     return mu_rf * e_field / H_PLANCK
-
-
-def rabi_from_power(power: float, beam_diameter: float, dipole: float) -> float:
-    """Peak Rabi frequency (rad/s) of a Gaussian beam of given total power.
-
-    Uses the peak-intensity convention I0 = 2 P / (pi w^2) with the 1/e^2
-    radius w = diameter / 2, i.e. E_peak = sqrt(4 P / (pi w^2 c eps0)).
-    """
-    if power < 0:
-        raise InvariantViolation("power must be >= 0")
-    if beam_diameter <= 0:
-        raise InvariantViolation("beam_diameter must be > 0")
-    radius = beam_diameter / 2
-    e_peak = np.sqrt(4 * power / (np.pi * radius ** 2 * C_LIGHT * EPS0))
-    return abs(dipole) * e_peak / HBAR
 
 
 def spectrum_rows(spec: MediumSpectrum) -> np.ndarray:

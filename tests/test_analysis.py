@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,3 +337,15 @@ class TestSensitivity:
             DetectorModel(eta=0.0)
         with pytest.raises(InvariantViolation):
             DetectorModel(signal_fraction=2.0)
+
+
+class TestAllanOverflow:
+    @pytest.mark.parametrize("values, tau", [
+        (np.tile([1e300, -1e300], 32), "1"),       # the squared differences overflow
+        (np.full(64, 1.7e308), "2"),               # the two-sample block sums overflow
+    ])
+    def test_non_finite_sigma_is_a_numeric_error(self, values, tau):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error
+            with pytest.raises(DomainError, match=f"tau = {tau} s overflows"):
+                allan_deviation(series(values), [1.0, 2.0])

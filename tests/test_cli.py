@@ -595,3 +595,17 @@ class TestBadFieldsThroughCli:
         assert (rc, err) == (EXIT_OK, "")
         report = (tmp_path / "o" / "sensitivity.txt").read_text()
         assert "projection_limit_v_per_m_sqrt_hz = 0.000000000000e+00" in report
+
+    def test_overflowing_allan_deviation(self, tmp_path, capsys):
+        text = COLD_BASE.replace("[ram]\n", "[ram]\ne0_sq = 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, ["servo"], tmp_path, capsys)
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: Allan deviation at tau = ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()  # no trace is written before the Allan step
+
+    def test_overflowing_probe_dipole(self, tmp_path, capsys):
+        text = COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\nmu12 = 1e300")
+        rc, err = self.run(text, ["scan"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_NUMERIC, "error: mu12 = 1e+300 C m is too large: its square overflows\n")

@@ -9,6 +9,7 @@ from scipy.special import wofz
 from rydfm import quantum
 from rydfm.constants import HBAR
 from rydfm.errors import (
+    DomainError,
     InvariantViolation,
     NonConvergenceError,
     SingularSystemError,
@@ -502,3 +503,77 @@ class TestVaporDensity:
     def test_default_density_filled(self):
         sys = LadderSystem()
         assert sys.n_atoms == pytest.approx(cs_vapor_density(294.0))
+
+
+def kron_liouvillian(h, sys):
+    """The Liouvillian by its np.kron formula, term by term in the order of `_dissipator`."""
+    eye = np.eye(4)
+    d = np.zeros((16, 16), dtype=complex)
+    for rate, target, source in ((sys.gamma2, 0, 1), (sys.gamma3, 1, 2), (sys.gamma4, 0, 3)):
+        c = np.zeros((4, 4))
+        c[target, source] = math.sqrt(rate)
+        cdc = c.T @ c
+        d += np.kron(c, c)
+        d -= 0.5 * np.kron(cdc, eye)
+        d -= 0.5 * np.kron(eye, cdc.T)
+    damp = np.zeros(16)
+    for i in range(4):
+        for j in range(4):
+            if i != j and (i >= 2 or j >= 2):
+                damp[4 * i + j] = -sys.gamma_deph
+    d += np.diag(damp).astype(complex)
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T)) + d
+
+
+class TestRabiFrequencyRows:
+    """One batched call at several RF Rabi frequencies, bit for bit one call per frequency."""
+
+    def test_liouvillian_matches_kron_formula(self):
+        rng = np.random.default_rng(16)
+        for _ in range(25):
+            # some rates exactly zero, so signed zeros are compared too
+            rates = rng.uniform(0.0, 1e7, 4) * (rng.random(4) < 0.8)
+            sys = LadderSystem(gamma2=rates[0], gamma3=rates[1], gamma4=rates[2],
+                               gamma_deph=rates[3], n_atoms=1e13)
+            drive = FieldDrive(*rng.uniform(0.0, 1e8, 3), *rng.uniform(-1e8, 1e8, 3))
+            h = build_hamiltonian(sys, drive, rng.normal(scale=300.0))
+            assert build_liouvillian(h, sys).tobytes() == kron_liouvillian(h, sys).tobytes()
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0, 0), (-0.0, 0, 0.0), (0, 0.0, -0.0)])
+    def test_cached_dissipator_matches_kron_formula_for_equal_rates(self, zeros):
+        # 0, 0.0 and -0.0 share one cache entry, whichever of them fills it
+        h = build_hamiltonian(LadderSystem(n_atoms=1e13), FieldDrive(1e7, 2e7, 3e7, 1e6, -2e6, 5e5))
+        quantum._dissipator.cache_clear()
+        for z in zeros:
+            sys = LadderSystem(gamma2=z, gamma3=1.4e6, gamma4=z, gamma_deph=z, n_atoms=1e13)
+            assert build_liouvillian(h, sys).tobytes() == kron_liouvillian(h, sys).tobytes()
+        assert quantum._dissipator.cache_info().currsize == 1
+        assert not quantum._dissipator(0.0, 1.4e6, 0.0, 0.0).flags.writeable
+
+    def test_cold_rows_match_per_row_calls(self, cold_system):
+        # 3 fields x 17 probe x 121 RF detunings: 51 groups, so the checks span two pools
+        omega_rf = cold_system.mu_rf * np.array([0.9, 1.8, 2.7]) / HBAR
+        probe = TWO_PI * (2e6 + 10e6 * np.arange(-8, 9))[:, None]
+        rf = TWO_PI * np.linspace(-6e6, 6e6, 121)[None, :]
+        batch = susceptibility_batch(cold_system, ATCAL_DRIVE, probe, rf, omega_rf[:, None, None])
+        rows = [susceptibility_batch(cold_system, replace(ATCAL_DRIVE, omega_rf=w), probe, rf)
+                for w in omega_rf]
+        assert batch.shape == (3, 17, 121) and np.array_equal(batch, rows)
+
+    def test_warm_rows_match_per_row_calls(self, warm_system, default_drive):
+        # 3 x 45 points: most stacks of CHUNK hold points of two rows
+        omega_rf = TWO_PI * np.array([0.0, 5e6, 12e6])
+        grid = TWO_PI * np.linspace(-30e6, 30e6, 45)
+        batch = susceptibility_batch(warm_system, default_drive, grid, omega_rf=omega_rf[:, None])
+        rows = [susceptibility_batch(warm_system, replace(default_drive, omega_rf=w), grid)
+                for w in omega_rf]
+        assert np.array_equal(batch, rows)
+
+    def test_negative_rabi_frequency_rejected(self, cold_system):
+        with pytest.raises(InvariantViolation, match="omega_rf"):
+            susceptibility_batch(cold_system, ATCAL_DRIVE, [0.0, 1e6], omega_rf=[[1e6], [-1e6]])
+
+    def test_overflowing_probe_dipole_named(self, cold_system):
+        sys = replace(cold_system, mu12=1e300)
+        with pytest.raises(DomainError, match="mu12 = 1e\\+300"):
+            susceptibility_batch(sys, ATCAL_DRIVE, [0.0])

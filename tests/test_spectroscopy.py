@@ -1,22 +1,24 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks, peak_widths
 
+from rydfm import pipelines, quantum
 from rydfm.constants import A0, E_CHARGE, H_PLANCK
 from rydfm.errors import DomainError, InvariantViolation
 from rydfm.pipelines import at_calibration, drive_at_field
-from rydfm.quantum import FieldDrive, susceptibility
+from rydfm.quantum import CHUNK, FieldDrive, susceptibility
+from rydfm.scenario import load_scenario
 from rydfm.spectroscopy import (
     AtResult,
     MediumSpectrum,
     _doublet_peaks,
     at_splitting,
     field_from_splitting,
-    rabi_from_power,
     scan_probe,
     spectrum_rows,
     splitting_from_field,
@@ -237,30 +239,6 @@ class TestFieldConversion:
             splitting_from_field(1.0, 0.0)
 
 
-class TestRabiFromPower:
-    def test_zero_power(self):
-        assert rabi_from_power(0.0, 1.5e-3, 1e-29) == 0.0
-
-    def test_sqrt_power_law(self):
-        low = rabi_from_power(10e-6, 1.5e-3, 1e-29)
-        assert rabi_from_power(40e-6, 1.5e-3, 1e-29) == pytest.approx(2 * low, rel=1e-12)
-
-    def test_anchored_probe_powers(self):
-        # dipole chosen so 45 uW in a 1.5 mm beam gives 2pi x 5.6 MHz,
-        # then 65 uW must give 2pi x 6.7 MHz (sqrt(65/45) scaling)
-        target = TWO_PI * 5.6e6
-        trial = rabi_from_power(45e-6, 1.5e-3, 1e-29)
-        dipole = 1e-29 * target / trial
-        assert rabi_from_power(45e-6, 1.5e-3, dipole) == pytest.approx(target, rel=1e-12)
-        scaled = rabi_from_power(65e-6, 1.5e-3, dipole)
-        assert scaled == pytest.approx(target * math.sqrt(65 / 45), rel=1e-12)
-        assert scaled == pytest.approx(TWO_PI * 6.7e6, rel=0.01)
-
-    def test_bad_diameter(self):
-        with pytest.raises(InvariantViolation):
-            rabi_from_power(1e-6, 0.0, 1e-29)
-
-
 class TestLinearity:
     def test_splitting_slope_matches_dipole(self, cold_system):
         drive = FieldDrive(omega_p=TWO_PI * 0.4e6, omega_c=TWO_PI * 1.2e6)
@@ -275,3 +253,87 @@ class TestLinearity:
     def test_drive_at_field(self, cold_system):
         drive = drive_at_field(cold_system, FieldDrive(), 0.4479)
         assert drive.omega_rf == pytest.approx(TWO_PI * 10e6, rel=1e-3)
+
+
+SHIPPED_ATCAL = Path(__file__).resolve().parents[1] / "configs" / "at_calibration.cfg"
+
+
+def per_field_calibration(sys, drive, fields, grid):
+    """The AT calibration as one probe scan and one splitting per field."""
+    return [(float(e_rf), at_splitting(scan_probe(sys, drive_at_field(sys, drive, float(e_rf)), grid)))
+            for e_rf in fields]
+
+
+class TestBatchedAtCalibration:
+    def test_shipped_cold_calibration_matches_per_field_scans(self):
+        scn = load_scenario(SHIPPED_ATCAL)
+        fields, grid = scn.scan.field_grid(), scn.scan.probe_grid_rad_s()
+        assert grid.size % CHUNK != 0
+        results = at_calibration(scn.system, scn.drive, fields, grid)
+        assert results == per_field_calibration(scn.system, scn.drive, fields, grid)
+        assert all(at.confidence == "resolved" for _, at in results)
+
+    def test_warm_calibration_matches_per_field_scans(self, warm_system):
+        drive = FieldDrive(omega_p=TWO_PI * 0.4e6, omega_c=TWO_PI * 1.2e6)
+        fields = np.array([0.0, 0.9, 2.7])
+        grid = TWO_PI * np.linspace(-35e6, 35e6, 201)  # 6 stacks of CHUNK and 9 points
+        results = at_calibration(warm_system, drive, fields, grid)
+        assert results == per_field_calibration(warm_system, drive, fields, grid)
+        assert [at.confidence for _, at in results] == ["unresolved", "resolved", "resolved"]
+
+    def test_self_check_solves_as_many_matrices_as_per_field_scans(self, monkeypatch):
+        scn = load_scenario(SHIPPED_ATCAL)
+        fields, grid = scn.scan.field_grid(), scn.scan.probe_grid_rad_s()
+        stacks = []
+        direct = quantum._steady_rho21_many
+        monkeypatch.setattr(quantum, "_steady_rho21_many", lambda lam: stacks.append(len(lam)) or direct(lam))
+        at_calibration(scn.system, scn.drive, fields, grid)
+        batched, stacks[:] = list(stacks), []
+        per_field_calibration(scn.system, scn.drive, fields, grid)
+        # 5 fields x 46 points: every CHUNK-th of the 1401, the last and the largest |rho21|
+        assert sum(batched) == sum(stacks) == 5 * 46
+        # pooled over the fields, every stack but the last is full
+        assert batched[:-1] == [CHUNK] * (len(batched) - 1) and len(batched) < len(stacks)
+
+    @staticmethod
+    def count_batch_points(monkeypatch):
+        """Record the operating points of each kernel call `at_calibration` makes."""
+        sizes, batch = [], pipelines.susceptibility_batch
+
+        def counted(*args, **kwargs):
+            chi = batch(*args, **kwargs)
+            sizes.append(chi.size)
+            return chi
+        monkeypatch.setattr(pipelines, "susceptibility_batch", counted)
+        return sizes
+
+    def test_many_fields_stay_within_the_batch_bound(self, monkeypatch):
+        scn = load_scenario(SHIPPED_ATCAL)
+        grid = scn.scan.probe_grid_rad_s()
+        sizes = self.count_batch_points(monkeypatch)
+        results = at_calibration(scn.system, scn.drive, np.linspace(0.9, 2.7, 60), grid)
+        per_call = pipelines.AT_BLOCK_POINTS // grid.size  # 46 fields of 1401 points
+        assert len(results) == 60 and sizes == [per_call * grid.size, (60 - per_call) * grid.size]
+        assert max(sizes) <= pipelines.AT_BLOCK_POINTS
+
+    def test_blocks_of_fields_match_per_field_scans(self, monkeypatch):
+        scn = load_scenario(SHIPPED_ATCAL)
+        fields, grid = np.linspace(0.9, 2.7, 7), scn.scan.probe_grid_rad_s()
+        sizes = self.count_batch_points(monkeypatch)
+        monkeypatch.setattr(pipelines, "AT_BLOCK_POINTS", 3 * grid.size - 1)  # two fields a call
+        results = at_calibration(scn.system, scn.drive, fields, grid)
+        assert sizes == [2 * grid.size] * 3 + [grid.size]
+        assert results == per_field_calibration(scn.system, scn.drive, fields, grid)
+
+    def test_grid_above_the_bound_takes_one_field_a_call(self, cold_system, monkeypatch):
+        drive = FieldDrive(omega_p=TWO_PI * 0.4e6, omega_c=TWO_PI * 1.2e6)
+        grid = TWO_PI * np.linspace(-35e6, 35e6, 71)
+        sizes = self.count_batch_points(monkeypatch)
+        monkeypatch.setattr(pipelines, "AT_BLOCK_POINTS", 50)
+        results = at_calibration(cold_system, drive, [0.9, 1.8], grid)
+        assert sizes == [71, 71]
+        assert results == per_field_calibration(cold_system, drive, [0.9, 1.8], grid)
+
+    def test_no_fields(self, cold_system):
+        drive = FieldDrive(omega_p=TWO_PI * 0.4e6, omega_c=TWO_PI * 1.2e6)
+        assert at_calibration(cold_system, drive, [], TWO_PI * np.linspace(-35e6, 35e6, 71)) == []
