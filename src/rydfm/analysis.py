@@ -279,9 +279,11 @@ def lorentzian_fit(freqs: np.ndarray, values: np.ndarray) -> tuple[LorentzParams
 
 def projection_limit(mu_rf: float, n_atoms: float, t2: float) -> float:
     """Atomic projection-noise field limit h / (mu sqrt(N T2)), V/m/sqrt(Hz)."""
-    if mu_rf <= 0 or n_atoms <= 0 or t2 <= 0:
-        raise DomainError("mu_rf, n_atoms and t2 must all be > 0")
-    return H_PLANCK / (mu_rf * math.sqrt(n_atoms * t2))
+    scale = mu_rf * math.sqrt(n_atoms * t2) if n_atoms * t2 > 0 else 0.0
+    if not (mu_rf > 0 and n_atoms > 0 and t2 > 0 and scale > 0):
+        raise DomainError(f"mu_rf, n_atoms and t2 must all be > 0 and mu_rf * sqrt(n_atoms * t2) must not "
+                          f"underflow to 0, got mu_rf = {mu_rf!r}, n_atoms = {n_atoms!r}, t2 = {t2!r}")
+    return H_PLANCK / scale
 
 
 def sensitivity_estimate(

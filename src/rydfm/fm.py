@@ -7,9 +7,10 @@ a_n = J_n(beta) on consecutive orders n.  The detected photocurrent
 c_1 = sum_n a_(n+1) conj(a_n), the beat of neighbouring sidebands.  The
 lock-in mixes the photocurrent with cos(omega_m t + theta) and reports
 twice the period average, which is exactly 2 Re(exp(-i theta) c_1), so an
-intensity modulation (1 + m sin omega_m t) demodulates to -m sin(theta).
-The DC power is sum_n |a_n|^2.  Amplitude arrays may carry leading axes
-(one row per carrier); the orders run along the last axis.
+intensity modulation (1 + m sin omega_m t) demodulates to -m sin(theta);
+`apply_ram` injects residual AM as such a modulation, the field AM of index
+m / 2.  The DC power is sum_n |a_n|^2.  Amplitude arrays may carry leading
+axes (one row per carrier); the orders run along the last axis.
 """
 from __future__ import annotations
 
@@ -213,28 +214,22 @@ def ram_mod_depth(p: RamParams) -> float:
 
 
 def apply_ram(sb: SidebandSet, p: RamParams) -> SidebandSet:
-    """Inject residual AM into the +-1 sidebands of a pre-propagation set.
+    """Inject residual AM of depth M = ram_mod_depth(p) into a pre-propagation set.
 
-    The common-mode perturbation is scaled so that, for a transparent
-    medium, the demodulated omega_m component equals the first-harmonic
-    residual-AM photocurrent amplitude.  At the null condition the set is
-    returned unchanged.
+    The intensity AM 1 + M sin(omega_m t) is, to first order in M, the field AM
+    of index M / 2: order n becomes a_n + (M / 4i) (a_(n-1) - a_(n+1)), with
+    a = 0 beyond +-n_max.  A transparent medium demodulates to -M sin(lo_phase)
+    at every beta.  At M = 0 (the null condition) the set is returned unchanged.
     """
     if sb.orders.max() < 1:
         raise InvariantViolation("apply_ram needs n_max >= 1")
     depth = ram_mod_depth(p)
     if depth == 0.0:
         return SidebandSet(orders=sb.orders.copy(), amps=sb.amps.copy(), omega_m=sb.omega_m)
-    # beat normalization: carrier term minus the +-2 sideband back-action
-    gain = float(sb.amplitude(0).real) - 0.5 * float(
-        (sb.amplitude(2) + np.conj(sb.amplitude(-2))).real
-    )
-    if abs(gain) < 1e-12:
-        raise InvariantViolation("carrier-dominated sideband set required for RAM injection")
-    delta = depth / (4 * gain)
+    kick = depth / 4j
     amps = sb.amps.copy()
-    amps[sb.orders == 1] += -1j * delta
-    amps[sb.orders == -1] += 1j * delta
+    amps[..., 1:] += kick * sb.amps[..., :-1]
+    amps[..., :-1] -= kick * sb.amps[..., 1:]
     return SidebandSet(orders=sb.orders.copy(), amps=amps, omega_m=sb.omega_m)
 
 

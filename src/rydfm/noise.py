@@ -87,8 +87,8 @@ def _shaped_sum(components, n: int, dt: float, seed: int) -> np.ndarray:
             raise InvariantViolation(f"coefficient {kind} must be finite and >= 0")
     if n < 2 or (n & (n - 1)) != 0:
         raise InvariantViolation("n must be a power of two >= 2")
-    if not (0 < dt < math.inf):
-        raise InvariantViolation("dt must be finite and > 0")
+    if not (0 < dt < math.inf and 1.0 / dt < math.inf):
+        raise InvariantViolation(f"dt must be finite and > 0 with a finite 1/dt, got {dt!r}")
     total, buf = np.zeros(n), np.empty(n)
     spectrum = np.empty(n // 2 + 1, dtype=complex)
     freqs = np.fft.rfftfreq(n, dt)

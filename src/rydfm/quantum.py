@@ -51,7 +51,7 @@ def cs_vapor_density(temperature: float) -> float:
     else:
         log_p_torr = 2.881 + 4.165 - 3830.0 / temperature
     pressure_pa = 133.322 * 10.0 ** log_p_torr
-    return pressure_pa / (KB * temperature)
+    return pressure_pa / (KB * temperature) if pressure_pa else 0.0  # k_B T may underflow too
 
 
 @dataclass
@@ -79,8 +79,8 @@ class LadderSystem:
         if self.n_atoms is None:
             self.n_atoms = cs_vapor_density(self.temperature)
             if self.n_atoms == 0.0:
-                raise InvariantViolation(f"vapor-pressure fit underflows at T = {self.temperature} K; "
-                                         "pass n_atoms explicitly")
+                raise InvariantViolation(f"vapor-pressure fit underflows at temperature = "
+                                         f"{self.temperature} K; pass n_atoms explicitly")
 
     @property
     def k_probe(self) -> float:
@@ -230,7 +230,8 @@ def _trace_solve(lam: np.ndarray, unit_cols=()) -> np.ndarray:
         sol = np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
-    residual = float(np.max(np.linalg.norm((lam @ sol[..., :1]) / scale, axis=-2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails the check below
+        residual = float(np.max(np.linalg.norm((lam @ sol[..., :1]) / scale, axis=-2)))
     if not (residual <= 1e-10):
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds 1e-10; "

@@ -52,8 +52,9 @@ class MediumSpectrum:
         phase shift is k_p L Re chi / 2 over the cell length L.
         """
         half_optical = 0.5 * sys.k_probe * sys.cell_length
-        return cls(grid=grid, chi=chi, amp_transmission=np.exp(-half_optical * chi.imag),
-                   phase=half_optical * chi.real)
+        with np.errstate(over="ignore"):  # an infinite t fails the 0 < t <= 1 check
+            return cls(grid=grid, chi=chi, amp_transmission=np.exp(-half_optical * chi.imag),
+                       phase=half_optical * chi.real)
 
     @property
     def power_transmission(self) -> np.ndarray:

@@ -609,3 +609,42 @@ class TestBadFieldsThroughCli:
         text = COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\nmu12 = 1e300")
         rc, err = self.run(text, ["scan"], tmp_path, capsys)
         assert (rc, err) == (EXIT_NUMERIC, "error: mu12 = 1e+300 C m is too large: its square overflows\n")
+
+    def test_temperature_underflowing_the_vapor_fit(self, tmp_path, capsys):
+        # k_B T underflows to 0 as well as the vapor-pressure fit
+        rc, err = self.run("[system]\ntemperature = 5e-324\n", ["scan"], tmp_path, capsys)
+        assert rc == EXIT_CONFIG
+        assert err.startswith("error: [system] ") and "temperature = 5e-324" in err
+        assert err.count("\n") == 1
+
+    def test_participating_atoms_underflowing_the_projection_limit(self, tmp_path, capsys):
+        text = COLD_BASE.replace("dt = 1e-3", "dt = 1e-3\nn_participating = 5e-324")
+        rc, err = self.run(text, ["sensitivity"], tmp_path, capsys)
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: ") and "n_atoms = 5e-324" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand, text, code, message", [
+        ("scan", COLD_BASE.replace("omega_p = 2.5132741228718345e6", "omega_p = 1e300"), EXIT_NUMERIC,
+         "steady-state residual nan exceeds 1e-10"),
+        ("scan", "[system]\nlambda_probe = 1e-300\n", EXIT_CONFIG,
+         "amplitude transmission must satisfy 0 < t <= 1"),
+        ("noise", COLD_BASE.replace("dt = 1e-3", "dt = 5e-324"), EXIT_CONFIG,
+         "dt must be finite and > 0 with a finite 1/dt, got 5e-324"),
+        ("allan", COLD_BASE.replace("dt = 1e-3", "dt = 5e-324"), EXIT_CONFIG,
+         "dt must be finite and > 0 with a finite 1/dt, got 5e-324"),
+    ], ids=["cold-omega_p", "warm-lambda_probe", "noise-dt", "allan-dt"])
+    def test_extreme_value_prints_only_its_error_line(self, subcommand, text, code, message, tmp_path,
+                                                      capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert rc == code
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_ram_injected_at_the_root_of_the_bessel_slope(self, tmp_path, capsys):
+        # beta = 1.8411..., the root of J1', zeroes J0 - J2 = 2 J1'(beta)
+        text = "[fm]\napply_ram = true\nbeta = 1.8411837813406593\n[ram]\ndphi_n = 0.3\n"
+        rc, err = self.run(text, ["fmscan"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        rows = np.loadtxt(tmp_path / "o" / "fm_spectrum.csv", delimiter=",")
+        assert rows.shape == (121, 3) and np.all(np.isfinite(rows))

@@ -596,6 +596,47 @@ class TestApplyRam:
         assert abs(without) < 1e-12
         assert abs(with_ram) > 100 * abs(without) + 1e-6
 
+    def test_baseline_smooth_in_beta(self, warm_system, default_drive):
+        # the RAM baseline at line centre through the warm medium has no pole
+        # at the root 1.8411... of J1'(beta), where J0 - J2 vanishes
+        p = RamParams(dphi_n=0.3)
+        carrier = np.array([0.0])
+
+        def baseline(beta):
+            cfg = FmConfig(beta=beta)
+            with_ram = fm_probe_scan(warm_system, default_drive, cfg, carrier, ram=p)[1][0]
+            without = fm_probe_scan(warm_system, default_drive, cfg, carrier)[1][0]
+            return (with_ram - without) / ram_mod_depth(p)
+
+        reference = baseline(0.7)
+        for beta in (0.2, 0.5, 1.0, 1.4, 1.8, 1.84, 1.8411837813406593, 1.845, 1.9):
+            ratio = baseline(beta) / reference
+            assert np.isfinite(ratio) and 0.5 <= ratio <= 2.0, (beta, ratio)
+
+    @pytest.mark.parametrize("beta", [0.2, 0.7, 1.8411837813406593, 3.0])
+    @pytest.mark.parametrize("m_diff, dphi_n", [(0.05, 1.0), (0.1, 1.3), (0.15, -1.2)])
+    def test_matches_fft_of_modulated_field(self, beta, m_diff, dphi_n):
+        # orders of sqrt(1 + M sin(theta)) exp(i beta sin(theta)) over one period,
+        # which differ from the first-order AM by about M^2 / 16
+        p = RamParams(alpha=0.7, beta_angle=0.7, m_diff=m_diff, dphi_n=dphi_n)
+        depth = ram_mod_depth(p)
+        assert 0.02 <= abs(depth) <= 0.07
+        sb = apply_ram(sidebands(beta, 12, omega_m=OMEGA_M), p)
+        theta = 2 * np.pi * np.arange(256) / 256
+        field = np.sqrt(1 + depth * np.sin(theta)) * np.exp(1j * beta * np.sin(theta))
+        oracle = np.fft.fft(field)[sb.orders] / theta.size
+        assert np.max(np.abs(sb.amps - oracle)) <= depth ** 2 / 8
+
+    def test_transparent_medium_reads_depth_at_every_index(self):
+        # a depth well above the ~1e-16 rounding of the pure-FM beat
+        p = RamParams(alpha=0.7, beta_angle=0.7, m_diff=0.1, dphi_n=1.3)
+        depth = ram_mod_depth(p)
+        for beta in (0.2, 0.7, 1.2, 1.84, 1.8411837813406593, 2.4, 3.0):
+            sb = apply_ram(sidebands(beta, 12, omega_m=OMEGA_M), p)
+            for theta in np.linspace(-math.pi, math.pi, 9):
+                expected = -depth * math.sin(theta)
+                assert abs(demodulate(sb, theta) - expected) <= 1e-12 * abs(depth), (beta, theta)
+
 
 class TestIndexFromDbm:
     def test_default_drive_level(self):
