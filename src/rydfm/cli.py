@@ -8,6 +8,10 @@ lines carrying the config hash and seed; numeric bodies are byte-identical
 across reruns of the same configuration.  The output directory resolves
 as --out, then $RYDFM_OUT, then the scenario [output] dir.
 
+Each subcommand's runner `run_<name>(scn, seed)` only computes: it returns
+its header fields and its outputs by file name.  `run` writes them, then
+the manifest, so a failed run writes no file.
+
 Exit codes: 0 success, 2 configuration error (a parse error or a broken
 invariant, and every scenario that fails to load), 3 numeric failure of a
 run (any other package error, an arithmetic overflow or a failed linear
@@ -167,35 +171,26 @@ def write_csv(path: Path, header: dict, columns: list[str], rows: np.ndarray) ->
     _atomic_write(path, lines, _csv_blocks(table))
 
 
-def _header(scn: Scenario, seed: int) -> dict:
-    return {"config_hash": scn.config_hash(), "seed": seed}
-
-
 # --- subcommand implementations ----------------------------------------------
+# A runner computes and writes nothing.  It returns the header fields it adds
+# to config_hash and seed, and its outputs by file name: a CSV table
+# (columns, rows) or the lines of a key-value text file.
 
-def run_scan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_scan(scn: Scenario, seed: int) -> tuple[dict, dict]:
     spec = spectroscopy.scan_probe(scn.system, scn.drive, scn.scan.probe_grid_rad_s())
-    path = outdir / "spectrum.csv"
-    write_csv(
-        path,
-        _header(scn, seed),
-        ["detuning_hz", "re_chi", "im_chi", "power_transmission", "phase_rad"],
-        spectroscopy.spectrum_rows(spec),
-    )
-    return [path]
+    columns = ["detuning_hz", "re_chi", "im_chi", "power_transmission", "phase_rad"]
+    return {}, {"spectrum.csv": (columns, spectroscopy.spectrum_rows(spec))}
 
 
-def run_fmscan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_fmscan(scn: Scenario, seed: int) -> tuple[dict, dict]:
     grid = scn.scan.probe_grid_rad_s()
     ram = scn.ram if scn.apply_ram else None
     inphase, quadrature = pipelines.fm_probe_scan(scn.system, scn.drive, scn.fm, grid, ram=ram)
     rows = np.column_stack([grid / (2 * math.pi), inphase, quadrature])
-    path = outdir / "fm_spectrum.csv"
-    write_csv(path, _header(scn, seed), ["detuning_hz", "signal_inphase", "signal_quadrature"], rows)
-    return [path]
+    return {}, {"fm_spectrum.csv": (["detuning_hz", "signal_inphase", "signal_quadrature"], rows)}
 
 
-def run_atcal(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_atcal(scn: Scenario, seed: int) -> tuple[dict, dict]:
     fields = scn.scan.field_grid()
     grid = scn.scan.probe_grid_rad_s()
     results = pipelines.at_calibration(scn.system, scn.drive, fields, grid)
@@ -204,14 +199,8 @@ def run_atcal(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         split_linear = spectroscopy.splitting_from_field(e_rf, scn.system.mu_rf)
         split_sim = at.split_hz if at.split_hz is not None else float("nan")
         rows.append([e_rf, split_sim, split_linear, 1.0 if at.confidence == "resolved" else 0.0])
-    path = outdir / "at_calibration.csv"
-    write_csv(
-        path,
-        _header(scn, seed),
-        ["e_rf_v_per_m", "split_sim_hz", "split_linear_hz", "resolved"],
-        np.asarray(rows),
-    )
-    return [path]
+    columns = ["e_rf_v_per_m", "split_sim_hz", "split_linear_hz", "resolved"]
+    return {}, {"at_calibration.csv": (columns, np.asarray(rows))}
 
 
 def _drift_from_opts(opts, seed: int):
@@ -224,26 +213,23 @@ def _drift_from_opts(opts, seed: int):
     return servo.random_walk_drift(opts.drift_step_std, seed)
 
 
-def run_servo(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def _allan_table(result: analysis.AllanResult) -> tuple[list[str], np.ndarray]:
+    rows = np.column_stack([result.taus, result.sigma_y, result.counts])
+    return ["tau_s", "sigma_y", "n_bins"], rows
+
+
+def run_servo(scn: Scenario, seed: int) -> tuple[dict, dict]:
     drift = _drift_from_opts(scn.servo, seed)
-    header = _header(scn, seed)
+    columns = ["time_s", "dphi_n_rad", "dphi_dc_rad", "error"]
     traces, allans = {}, {}
     for label, lock in (("locked", True), ("unlocked", False)):
         trace = servo.run_servo(drift, scn.gains, scn.servo.duration_s, ram=scn.ram, lock=lock)
         ts = noise.TimeSeries(dt=scn.gains.dt, values=trace.error, seed=seed, kind="composite")
-        traces[label], allans[label] = trace, analysis.allan_deviation(ts, analysis.octave_taus(ts))
-    outputs = []  # written only once both Allan deviations exist, so a failure writes nothing
-    for label, trace in traces.items():
         rows = np.column_stack([trace.time, trace.dphi_n, trace.dphi_dc, trace.error])
-        path = outdir / f"servo_trace_{label}.csv"
-        write_csv(path, header, ["time_s", "dphi_n_rad", "dphi_dc_rad", "error"], rows)
-        outputs.append(path)
-    for label, result in allans.items():
-        rows = np.column_stack([result.taus, result.sigma_y, result.counts])
-        path = outdir / f"servo_allan_{label}.csv"
-        write_csv(path, header, ["tau_s", "sigma_y", "n_bins"], rows)
-        outputs.append(path)
-    return outputs
+        traces[f"servo_trace_{label}.csv"] = (columns, rows)
+        allan = analysis.allan_deviation(ts, analysis.octave_taus(ts))
+        allans[f"servo_allan_{label}.csv"] = _allan_table(allan)
+    return {}, traces | allans
 
 
 def _make_series(scn: Scenario, seed: int) -> noise.TimeSeries:
@@ -255,41 +241,27 @@ def _make_series(scn: Scenario, seed: int) -> noise.TimeSeries:
     return noise.gen_powerlaw(opts.kind, opts.coefficient, opts.n_samples, opts.dt, seed)
 
 
-def run_noise(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_noise(scn: Scenario, seed: int) -> tuple[dict, dict]:
     series = _make_series(scn, seed)
-    header = _header(scn, seed) | {"kind": series.kind, "dt_s": series.dt}
     rows = np.column_stack([series.time, series.values])
-    path = outdir / "timeseries.csv"
-    write_csv(path, header, ["time_s", "value"], rows)
-    return [path]
+    return {"kind": series.kind, "dt_s": series.dt}, {"timeseries.csv": (["time_s", "value"], rows)}
 
 
-def run_allan(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_allan(scn: Scenario, seed: int) -> tuple[dict, dict]:
     series = _make_series(scn, seed)
     taus = analysis.octave_taus(series)
     result = analysis.allan_deviation(series, taus)
-    header = _header(scn, seed) | {"kind": series.kind, "estimator": "nonoverlapping"}
-    path = outdir / "allan.csv"
-    write_csv(
-        path,
-        header,
-        ["tau_s", "sigma_y", "n_bins"],
-        np.column_stack([result.taus, result.sigma_y, result.counts]),
-    )
-    outputs = [path]
     labels = analysis.classify_noise(result)
-    lines = _header_lines(header) + ["# columns: tau_lo_s,tau_hi_s,slope,label,ambiguous"]
+    lines = ["# columns: tau_lo_s,tau_hi_s,slope,label,ambiguous"]
     for lab in labels:
         lines.append(
             f"{_fmt(lab.tau_lo)},{_fmt(lab.tau_hi)},{_fmt(lab.slope)},{lab.label},{int(lab.ambiguous)}"
         )
-    cpath = outdir / "allan_classification.csv"
-    _atomic_write(cpath, lines)
-    outputs.append(cpath)
-    return outputs
+    outputs = {"allan.csv": _allan_table(result), "allan_classification.csv": lines}
+    return {"kind": series.kind, "estimator": "nonoverlapping"}, outputs
 
 
-def run_matched(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_matched(scn: Scenario, seed: int) -> tuple[dict, dict]:
     grid_hz = scn.scan.detuning_grid_hz()
     drive = pipelines.drive_at_field(scn.system, scn.drive, scn.scan.e_operating)
     signal = pipelines.rf_detuning_scan(scn.system, drive, scn.fm, 2 * math.pi * grid_hz)
@@ -301,17 +273,14 @@ def run_matched(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
     in_valid = np.zeros(grid_hz.size)
     in_valid[filtered.valid] = 1.0
     rows = np.column_stack([grid_hz, signal, filtered.values, in_valid])
-    path = outdir / "matched.csv"
-    write_csv(path, _header(scn, seed), ["freq_hz", "raw", "filtered", "in_valid_region"], rows)
-    return [path]
+    return {}, {"matched.csv": (["freq_hz", "raw", "filtered", "in_valid_region"], rows)}
 
 
-def run_sensitivity(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
+def run_sensitivity(scn: Scenario, seed: int) -> tuple[dict, dict]:
     report = analysis.sensitivity_estimate(
         scn.system, scn.drive, scn.fm, scn.detector, scn.scan.e_operating
     )
-    header = _header(scn, seed)
-    lines = _header_lines(header) + [
+    lines = [
         f"responsivity_a_per_v_m = {_fmt(report.responsivity)}",
         f"noise_floor_a_per_sqrt_hz = {_fmt(report.noise_floor)}",
         f"e_min_v_per_m_sqrt_hz = {_fmt(report.e_min)}",
@@ -319,9 +288,7 @@ def run_sensitivity(scn: Scenario, seed: int, outdir: Path) -> list[Path]:
         f"projection_limit_v_per_m_sqrt_hz = {_fmt(report.projection_limit_value)}",
         f"e_operating_v_per_m = {_fmt(scn.scan.e_operating)}",
     ]
-    path = outdir / "sensitivity.txt"
-    _atomic_write(path, lines)
-    return [path]
+    return {}, {"sensitivity.txt": lines}
 
 
 _RUNNERS = {
@@ -337,9 +304,15 @@ _RUNNERS = {
 
 
 def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> None:
-    """Execute one subcommand and write its manifest."""
+    """Execute one subcommand; once it has succeeded, write its outputs and manifest."""
     started = datetime.now(timezone.utc).isoformat()
-    outputs = _RUNNERS[subcommand](scn, seed, outdir)
+    fields, outputs = _RUNNERS[subcommand](scn, seed)
+    header = {"config_hash": scn.config_hash(), "seed": seed} | fields
+    for name, output in outputs.items():
+        if isinstance(output, tuple):
+            write_csv(outdir / name, header, *output)
+        else:
+            _atomic_write(outdir / name, _header_lines(header) + output)
     versions = {
         "rydfm": __version__,
         "numpy": np.__version__,
@@ -347,12 +320,12 @@ def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> None:
         "python": platform.python_version(),
     }
     lines = [
-        f"config_hash = {scn.config_hash()}",
+        f"config_hash = {header['config_hash']}",
         f"seed = {seed}",
         f"versions = {versions}",
         f"started = {started}",
         f"finished = {datetime.now(timezone.utc).isoformat()}",
-    ] + [f"output = {p}" for p in outputs]
+    ] + [f"output = {outdir / name}" for name in outputs]
     _atomic_write(outdir / f"manifest_{subcommand}.txt", lines)
 
 

@@ -125,12 +125,6 @@ class SidebandSet:
         if not np.all(np.diff(self.orders) == 1):
             raise InvariantViolation("sideband orders must be consecutive ascending integers")
 
-    def amplitude(self, order: int) -> complex:
-        if self.amps.ndim != 1:
-            raise InvariantViolation("amplitude() needs a sideband set of one row")
-        idx = np.nonzero(self.orders == order)[0]
-        return complex(self.amps[idx[0]]) if idx.size else 0.0
-
 
 def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> SidebandSet:
     """Phase-modulation sideband set with amplitudes J_n(beta).

@@ -1,7 +1,9 @@
+import fnmatch
 import hashlib
 import inspect
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -273,7 +275,7 @@ class TestConfigPerturbations:
     def test_one_key_loads_or_is_a_config_error(self, config, section_key, value, tmp_path,
                                                 monkeypatch, capsys):
         # only loading is exercised: every subcommand runner is a no-op
-        monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli.SUBCOMMANDS, lambda *args: []))
+        monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli.SUBCOMMANDS, lambda *args: ({}, {})))
         cfg = tmp_path / "perturbed.cfg"
         cfg.write_text(with_key((SHIPPED_CONFIGS / config).read_text(), *section_key, value))
         rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -332,6 +334,70 @@ class TestOutputs:
         main(["scan", "--config", str(cold_config), "--out", str(out)])
         manifest = (out / "manifest_scan.txt").read_text()
         assert "config_hash" in manifest and "spectrum.csv" in manifest
+
+
+class TestNoPartialOutput:
+    """A run that fails leaves no output file and no manifest."""
+
+    def run(self, text, subcommand, tmp_path, capsys):
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        out.mkdir()
+        rc = main([subcommand, "--config", str(cfg), "--out", str(out)])
+        return rc, capsys.readouterr().err, sorted(p.name for p in out.iterdir())
+
+    def test_allan_too_short_to_classify(self, tmp_path, capsys):
+        # the Allan deviation succeeds, its classification then fails
+        text = with_key(COLD_BASE, "noise", "n_samples", "16")
+        rc, err, left = self.run(text, "allan", tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: classification needs at least 4 tau points\n")
+        assert left == []
+
+    def test_servo_unstable_loop(self, tmp_path, capsys):
+        text = COLD_BASE
+        for key, value in (("kp", "6000"), ("ki", "0"), ("drift_value", "0.005")):
+            text = with_key(text, "ram", key, value)
+        rc, err, left = self.run(text, "servo", tmp_path, capsys)
+        assert rc == EXIT_NUMERIC
+        assert err.startswith("error: error grew from ") and err.count("\n") == 1
+        assert left == []
+
+
+def readme_outputs():
+    """{subcommand: output file-name patterns} from README's command-line table."""
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) == 4 and cells[1].strip("`") in cli.SUBCOMMANDS:
+            table[cells[1].strip("`")] = re.findall(r"`([\w*]+\.(?:csv|txt))`", cells[2])
+    return table
+
+
+class TestRunnerContract:
+    """Runners return (header fields, outputs by file name) and write nothing."""
+
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_outputs_named_in_readme_and_nothing_written(self, subcommand, tmp_path,
+                                                         monkeypatch):
+        cfg = tmp_path / "cold.cfg"
+        cfg.write_text(COLD_BASE)
+        scn = scenario.load_scenario(str(cfg))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        fields, outputs = cli._RUNNERS[subcommand](scn, scn.noise.seed)
+        assert list(cwd.iterdir()) == []
+        assert isinstance(fields, dict)
+        patterns = readme_outputs()[subcommand]
+        assert all(any(fnmatch.fnmatch(name, p) for p in patterns) for name in outputs)
+        assert all(any(fnmatch.fnmatch(name, p) for name in outputs) for p in patterns)
+        for output in outputs.values():
+            if isinstance(output, tuple):
+                columns, rows = output
+                assert np.shape(rows) == (len(rows), len(columns))
+            else:
+                assert all(isinstance(line, str) for line in output)
 
 
 class TestPhysicsThroughCli:
