@@ -17,6 +17,12 @@ Gamma3: |3>->|2> and a closing channel Gamma4: |4>->|1> (the real
 branching of 53P3/2 differs; the closure keeps the generator
 trace-preserving without extra levels).  An extra pure-dephasing rate
 gamma_deph = 1/T2 damps every coherence involving |3> or |4>.
+
+The steady state is solved for 16 real unknowns y, the populations and per
+pair i < j (rho_ij + rho_ji)/sqrt2 and i(rho_ij - rho_ji)/sqrt2: in this
+basis U a Lindblad L is the real R = U^H L U.  Detunings and velocity add a
+2x2 rotation per coherence pair they move (6 coordinates for delta_p or
+delta_rf, 10 for v), and every solve and `eig` is real.
 """
 from __future__ import annotations
 
@@ -32,9 +38,6 @@ from .errors import DomainError, InvariantViolation, NonConvergenceError, Singul
 # Velocities below this are treated as a zero-temperature (delta-function)
 # Maxwell distribution.
 V_THERMAL_FLOOR = 1e-3
-
-_TRACE_IDX = np.array([0, 5, 10, 15])  # row-major vec positions of rho_ii
-_RHO21_IDX = 4                          # row-major vec position of rho[1, 0]
 
 
 def cs_vapor_density(temperature: float) -> float:
@@ -204,34 +207,57 @@ def _dissipator(gamma2: float, gamma3: float, gamma4: float, gamma_deph: float) 
     return d
 
 
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i[H, rho] as a 16x16 superoperator (row-major vec)."""
+    eye = np.eye(4)
+    return -1j * (_kron(h, eye) - _kron(eye, h.T))
+
+
 def build_liouvillian(h: np.ndarray, sys: LadderSystem) -> np.ndarray:
     """16x16 generator L with d vec(rho)/dt = L vec(rho), row-major vec."""
-    eye = np.eye(4)
-    commutator = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    return commutator + _dissipator(sys.gamma2, sys.gamma3, sys.gamma4, sys.gamma_deph)
+    return _commutator(h) + _dissipator(sys.gamma2, sys.gamma3, sys.gamma4, sys.gamma_deph)
 
 
-def _trace_solve(lam: np.ndarray, unit_cols=()) -> np.ndarray:
-    """Trace-1 steady state of one Liouvillian or a stack of them.
+# --- the real Hermitian basis (see the module docstring) ---------------------
+_I, _J = np.triu_indices(4, 1)  # the coherence pairs i < j
+_SYM = 4 + 2 * np.arange(6)     # (rho_ij + rho_ji)/sqrt2; i(rho_ij - rho_ji)/sqrt2 at _SYM + 1
+_U = np.zeros((16, 16), dtype=complex)
+_U[5 * np.arange(4), np.arange(4)] = 1.0
+_U[4 * _I + _J, _SYM], _U[4 * _J + _I, _SYM], _U[4 * _I + _J, _SYM + 1], _U[4 * _J + _I, _SYM + 1] = (
+    np.array([1, 1, 1j, -1j]) * math.sqrt(0.5))
+_RHO21 = _U[4]                  # rho[1, 0] = (U y)[4], row-major vec
 
-    Each generator is normalized by its largest entry and its redundant
-    row 0 is replaced by the trace constraint; the solve returns the
-    steady state as column 0 (residual checked to 1e-10) followed by the
-    solutions for the unit vectors e_j, j in `unit_cols`.
+
+def _real(lam: np.ndarray) -> np.ndarray:
+    """R = U^H L U of a complex generator (or a stack); real for Hermiticity-preserving L."""
+    return (_U.conj().T @ lam @ _U).real
+
+
+def _trace_solve(gen: np.ndarray, unit_cols=()) -> np.ndarray:
+    """Trace-1 steady state of one real generator R or a stack of them.
+
+    Each is divided by s = max|R| / 2 and its redundant row 0 replaced by ones
+    on the populations.  Returns y, the steady state, as column 0 (residual
+    ||R y||_2 / s = ||L rho||_2 / s checked to 1e-10) followed by R_s^-1 e_j for
+    j in `unit_cols`, R_s being R with row 0 replaced by s on the populations.
     """
-    scale = np.max(np.abs(lam), axis=(-2, -1), keepdims=True)
+    # |R_ab| = |u_a^H L u_b| <= 2 max|L| (||u||_1 <= sqrt2), so s is never above max|L|
+    scale = 0.5 * np.max(np.abs(gen), axis=(-2, -1), keepdims=True)
     if np.any(scale == 0.0):
         raise SingularSystemError("Liouvillian is identically zero")
-    a = lam / scale
+    a = gen / scale
     a[..., 0, :] = 0.0
-    a[..., 0, _TRACE_IDX] = 1.0
-    rhs = np.eye(16, dtype=complex)[:, [0, *unit_cols]]
+    a[..., 0, :4] = 1.0
+    # LAPACK solves a lone column by another routine, off in the last bits from
+    # the steady state solved beside unit vectors: a second column keeps them equal
+    rhs = np.eye(16)[:, [0, *unit_cols] if len(unit_cols) else [0, 0]]
     try:
-        sol = np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
+        sol = np.linalg.solve(a, np.broadcast_to(rhs, gen.shape[:-2] + rhs.shape))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
+    sol[..., 1:] /= scale
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails the check below
-        residual = float(np.max(np.linalg.norm((lam @ sol[..., :1]) / scale, axis=-2)))
+        residual = float(np.max(np.linalg.norm((gen @ sol[..., :1]) / scale, axis=-2)))
     if not (residual <= 1e-10):
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds 1e-10; "
@@ -241,7 +267,7 @@ def _trace_solve(lam: np.ndarray, unit_cols=()) -> np.ndarray:
 
 
 def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
-    """Solve L rho = 0 with the trace constraint replacing one redundant row.
+    """Solve L rho = 0 (as R = U^H L U) with the trace constraint replacing one redundant row.
 
     Raises
     ------
@@ -249,48 +275,32 @@ def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
         If the system is degenerate (e.g. all rates zero) or the residual
         of the normalized system exceeds 1e-10.
     """
-    vec = _trace_solve(np.asarray(liouvillian, dtype=complex))[:, 0]
-    return DensityMatrix(vec.reshape(4, 4))
+    y = _trace_solve(_real(np.asarray(liouvillian, dtype=complex)))[:, 0]
+    return DensityMatrix((_U @ y).reshape(4, 4))
 
 
-def _level_shift_diagonal(shift: np.ndarray) -> np.ndarray:
-    """Vec-space diagonal that a Hamiltonian diagonal `shift` adds to L.
+def _generator(sys: LadderSystem, v: float = 0.0, **unit: float) -> np.ndarray:
+    """d R / d x for x = v or the one `FieldDrive` field in `unit`: H is linear in each.
 
-    H_ii -> H_ii + shift_i adds -i (shift_i - shift_j) to coherence (i, j)
-    of the commutator; populations are unaffected.
+    A detuning or v rotates the two coordinates of each coherence pair it shifts.
     """
-    return (-1j * (shift[:, None] - shift[None, :])).ravel()
+    return _real(_commutator(build_hamiltonian(sys, FieldDrive(**unit), v)))
 
 
-def _velocity_diagonal(sys: LadderSystem) -> np.ndarray:
-    """d L / d v: H_ii(v) = H_ii(0) + slope_i v, nonzero on 10 coherences."""
-    k_p, k_c = sys.k_probe, sys.k_coupling
-    return _level_shift_diagonal(np.array([0.0, k_p, k_p - k_c, k_p - k_c]))
+# d R / d delta_p, d R / d delta_rf (6 coordinates each) and d R / d omega_rf
+_GENERATORS = [_generator(LadderSystem(n_atoms=0.0), **{x: 1.0}) for x in ("delta_p", "delta_rf", "omega_rf")]
 
 
-# d L / d delta_p and d L / d delta_rf: H carries minus the cumulative detunings
-_PROBE_DIAGONAL = _level_shift_diagonal(np.array([0.0, -1.0, -1.0, -1.0]))
-_RF_DIAGONAL = _level_shift_diagonal(np.array([0.0, 0.0, 0.0, -1.0]))
-_DIAG_IDX = np.arange(16)
-
-
-def _with_diagonal(base: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Stack of base + diag(offset), `base` (..., 16, 16) broadcast with `offsets` (..., 16)."""
-    lam = np.broadcast_to(base, np.broadcast_shapes(base.shape, offsets.shape[:-1] + (1, 1))).copy()
-    lam[..., _DIAG_IDX, _DIAG_IDX] += offsets
-    return lam
-
-
-def _steady_rho21_many(lam: np.ndarray) -> np.ndarray:
-    """rho21 of the trace-1 steady state of every Liouvillian in a stack."""
-    return _trace_solve(lam)[..., _RHO21_IDX, 0]
+def _steady_rho21_many(gen: np.ndarray) -> np.ndarray:
+    """rho21 of the trace-1 steady state of every generator in a stack."""
+    return _trace_solve(gen)[..., 0] @ _RHO21
 
 
 # --- batched, Doppler-averaged operating points ------------------------------
 
 SELF_CHECK_TOL = 1e-8
 # Warm operating points per stacked solve.  Bounds the working set: a few
-# copies of CHUNK 16x16 complex matrices (128 KB each); stacks of 64 or 128
+# copies of CHUNK 16x16 real matrices (64 KB each); stacks of 64 or 128
 # were no faster.  A cold scan checks every CHUNK-th point by a direct solve.
 CHUNK = 32
 _CHECK_VELOCITIES = np.array([0.0, -1.0, 1.0, -3.0, 3.0])   # in units of sigma
@@ -315,22 +325,21 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
         return -z * (1.0 + zeta * plasma)
 
 
-def _pole_form(lam: np.ndarray, direction: np.ndarray):
-    """rho21 of lam + x diag(direction) as c0 - sum_k alpha_k x / (1 + lambda_k x).
+def _pole_form(gen: np.ndarray, direction: np.ndarray):
+    """rho21 of gen + x `direction` as c0 - sum_k alpha_k x / (1 + lambda_k x).
 
-    x moves the trace-constrained A(x) = A0 + x D only on the coherences P
-    where `direction` is nonzero, so Woodbury on that block and one `eig`
-    of K = D_P A0^-1[P, P] give c0, alpha, lambda and K's eigenvectors.
+    x moves the trace-constrained R_s + x D (see `_trace_solve`) only on the
+    coordinates P that D = `direction` couples, so Woodbury on that block and
+    one real `eig` of K = D_P R_s^-1[P, P] give c0, alpha, lambda and K's eigenvectors.
     """
-    moving = np.flatnonzero(direction)
-    sol = _trace_solve(lam, moving)
-    x0, inv_cols = sol[..., 0], sol[..., 1:]
-    # same per-matrix normalization as A0 in _trace_solve
-    d_p = direction[moving] / np.max(np.abs(lam), axis=(-2, -1))[..., None]
-    poles, vecs = np.linalg.eig(d_p[..., :, None] * inv_cols[..., moving, :])
-    weights = np.linalg.solve(vecs, (d_p * x0[..., moving])[..., None])[..., 0]
-    alpha = (inv_cols[..., None, _RHO21_IDX, :] @ vecs)[..., 0, :] * weights
-    return x0[..., _RHO21_IDX], alpha, poles, vecs
+    moving = np.flatnonzero(np.any(direction, axis=0))
+    sol = _trace_solve(gen, moving)
+    x0, inv_cols, d_p = sol[..., 0], sol[..., 1:], direction[np.ix_(moving, moving)]
+    poles, vecs = np.linalg.eig(d_p @ inv_cols[..., moving, :])
+    weights = np.linalg.solve(vecs, d_p @ x0[..., moving, None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # near-singular A0: NaN fails the self-check
+        alpha = ((inv_cols.swapaxes(-1, -2) @ _RHO21)[..., None, :] @ vecs)[..., 0, :] * weights
+    return x0 @ _RHO21, alpha, poles, vecs
 
 
 def _self_check(rational, direct, delta_p, delta_rf, vecs, expansion: str) -> None:
@@ -356,10 +365,9 @@ def _self_check(rational, direct, delta_p, delta_rf, vecs, expansion: str) -> No
     )
 
 
-def _detuned(base: np.ndarray, delta_p, delta_rf) -> np.ndarray:
-    """`base` (built at zero probe and RF detuning) at each operating point."""
-    return _with_diagonal(base, np.multiply.outer(delta_p, _PROBE_DIAGONAL)
-                          + np.multiply.outer(delta_rf, _RF_DIAGONAL))
+def _detuned(base: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`base` (built at zero RF Rabi frequency and detunings) at `points` = (delta_p, delta_rf, omega_rf)."""
+    return base + sum(np.multiply.outer(x, g) for x, g in zip(points, _GENERATORS))
 
 
 def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf, omega_rf=None) -> np.ndarray:
@@ -368,82 +376,80 @@ def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf, omega_r
     The points share the other fields of `drive` and take their probe and RF
     detunings and RF Rabi frequency from `delta_p`, `delta_rf` and `omega_rf`
     (default `drive.omega_rf`), broadcast together into the result's shape.
-    One Liouvillian is built per RF Rabi frequency; each point is that matrix
-    plus a diagonal, affine in delta_p, delta_rf and v.  A warm cell is solved
-    in stacks of `CHUNK` points, a cold one a fixed detuning at a time.
+    One real generator is built per call; each point is that matrix plus
+    generators affine in delta_p, delta_rf, omega_rf and v.  A warm cell is
+    solved in stacks of `CHUNK` points, a cold one a fixed detuning at a time.
     """
-    omega_rf = np.asarray(drive.omega_rf if omega_rf is None else omega_rf, dtype=float)
-    rabi, owner = np.unique(omega_rf, return_inverse=True)
-    delta_p, delta_rf = np.asarray(delta_p, dtype=float), np.asarray(delta_rf, dtype=float)
-    delta_p, delta_rf, owner = np.broadcast_arrays(delta_p, delta_rf, owner.reshape(omega_rf.shape))
-    if not (np.all(np.isfinite(delta_p)) and np.all(np.isfinite(delta_rf))):
-        raise InvariantViolation("operating-point detunings must be finite")
-
-    @lru_cache(maxsize=CHUNK)  # a stack spans at most CHUNK RF Rabi frequencies
-    def base(k: int) -> np.ndarray:
-        reference = replace(drive, omega_rf=float(rabi[k]), delta_p=0.0, delta_rf=0.0)
-        return build_liouvillian(build_hamiltonian(sys, reference), sys)
-    probe, rf, owner = delta_p.ravel(), delta_rf.ravel(), owner.ravel()
+    omega_rf = drive.omega_rf if omega_rf is None else omega_rf
+    points = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (delta_p, delta_rf, omega_rf)))
+    if not np.all(np.isfinite(points) & (points[2] >= 0)):
+        raise InvariantViolation("operating points need finite detunings and a finite omega_rf >= 0")
+    base = _real(build_liouvillian(build_hamiltonian(sys, replace(drive, omega_rf=0.0, delta_p=0.0,
+                                                                  delta_rf=0.0)), sys))
+    flat = np.reshape(points, (3, -1))
     if sys.v_thermal < V_THERMAL_FLOOR:
-        return _cold_rho21(base, owner, probe, rf).reshape(delta_p.shape)
-    out = np.empty(probe.size, dtype=complex)
-    for start in range(0, probe.size, CHUNK):
-        chunk = slice(start, start + CHUNK)
-        bases = np.array([base(k) for k in owner[chunk].tolist()])
-        out[chunk] = _warm_rho21(sys, bases, probe[chunk], rf[chunk])
-    return out.reshape(delta_p.shape)
+        return _cold_rho21(base, flat).reshape(points[0].shape)
+    out = np.empty(flat.shape[1], dtype=complex)
+    for start in range(0, out.size, CHUNK):
+        out[start:start + CHUNK] = _warm_rho21(sys, base, flat[:, start:start + CHUNK])
+    return out.reshape(points[0].shape)
 
 
-def _warm_rho21(
-    sys: LadderSystem, base: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray
-) -> np.ndarray:
-    """<rho21> for one stack of warm operating points.
+def _warm_rho21(sys: LadderSystem, base: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """<rho21> for one stack of warm operating points (as in `_detuned`).
 
-    Along `_velocity_diagonal` rho21(v) is rational (`_pole_form`), and its
+    Along d R / d v (10 coordinates) rho21(v) is rational (`_pole_form`), and its
     pole terms average to the plasma-dispersion function.  Direct solves at
     v = 0, +-sigma and +-3 sigma check every point.
     """
-    lam = _detuned(base, delta_p, delta_rf)
-    d_v = _velocity_diagonal(sys)
-    c0, alpha, poles, vecs = _pole_form(lam, d_v)
+    gen, d_v = _detuned(base, points), _generator(sys, v=1.0)
+    c0, alpha, poles, vecs = _pole_form(gen, d_v)
     probe_v = sys.v_thermal * _CHECK_VELOCITIES
     terms = alpha[:, None, :] * probe_v[:, None] / (1.0 + poles[:, None, :] * probe_v[:, None])
     rational = c0[:, None] - terms.sum(axis=-1)
-    direct = np.stack([_steady_rho21_many(_with_diagonal(lam, v * d_v)) for v in probe_v], axis=1)
-    _self_check(rational, direct, delta_p, delta_rf, vecs, "velocity")
+    direct = np.stack([_steady_rho21_many(gen + v * d_v) for v in probe_v], axis=1)
+    _self_check(rational, direct, *points[:2], vecs, "velocity")
     return c0 - np.sum(alpha * _mean_pole_term(poles, sys.v_thermal), axis=-1)
 
 
-def _cold_rho21(base, owner: np.ndarray, delta_p: np.ndarray, delta_rf: np.ndarray) -> np.ndarray:
-    """rho21 of a Doppler-free cell (the v = 0 steady state) at every point.
+def _cold_rho21(base: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """rho21 of a Doppler-free cell (the v = 0 steady state) at every point (as in `_detuned`).
 
     Grouped by RF Rabi frequency and by whichever of delta_rf and delta_p has
-    fewer distinct values, the other moves `base(owner)` along its diagonal, so
-    one `_pole_form` about a point of a group serves all of it.  Direct solves of
-    `CHUNK` groups at a time check every `CHUNK`-th, last and largest-|rho21| point.
+    fewer distinct values, the other moves a point along its generator, so
+    one `_pole_form` about a point of a group serves all of it, written as
+    r_inf + sum_k (alpha_k / lambda_k) / (1 + lambda_k x) to stay exact at any
+    span: along delta_p both coordinates of rho21 move, so r_inf = 0 unless a
+    pole underflowed to 0 (huge fields; its term is then a constant).  Direct
+    solves of `CHUNK` groups at a time check every `CHUNK`-th, last and
+    largest-|rho21| point.
     """
-    fixed, along, direction = ((delta_rf, delta_p, _PROBE_DIAGONAL)
+    delta_p, delta_rf, omega_rf = points
+    fixed, along, direction = ((delta_rf, delta_p, _GENERATORS[0])
                                if np.unique(delta_rf).size <= np.unique(delta_p).size
-                               else (delta_p, delta_rf, _RF_DIAGONAL))
-    order = np.lexsort((fixed, owner))
-    cuts = np.flatnonzero((np.diff(owner[order]) != 0) | (np.diff(fixed[order]) != 0)) + 1
+                               else (delta_p, delta_rf, _GENERATORS[1]))
+    order = np.lexsort((fixed, omega_rf))
+    cuts = np.flatnonzero((np.diff(omega_rf[order]) != 0) | (np.diff(fixed[order]) != 0)) + 1
     groups = np.split(order, cuts) if order.size else []
     out = np.empty(delta_p.size, dtype=complex)
     for first in range(0, len(groups), CHUNK):
         checks = []
         for idx in groups[first:first + CHUNK]:
             ref = idx[idx.size // 2]
-            at_ref = _detuned(base(int(owner[ref])), delta_p[ref], delta_rf[ref])
-            c0, alpha, poles, vecs = _pole_form(at_ref, direction)
+            c0, alpha, poles, vecs = _pole_form(_detuned(base, points[:, ref]), direction)
             x = along[idx] - along[ref]
-            # one pole at a time, so the work arrays stay the size of the group
-            out[idx] = rational = c0 - sum(a * x / (1.0 + lam * x) for a, lam in zip(alpha, poles))
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or NaN fails the check
+                beta = np.divide(alpha, poles, out=np.zeros_like(alpha), where=poles != 0)
+                r_inf = 0.0 if direction is _GENERATORS[0] and np.all(poles != 0) else c0 - beta.sum()
+                # one pole at a time, so the work arrays stay the size of the group;
+                # the reference point keeps its own solve
+                rational = r_inf + sum(b / (1.0 + lam * x) for b, lam in zip(beta, poles))
+            out[idx] = rational = np.where(x == 0, c0, rational)
             check = np.r_[np.arange(0, idx.size, CHUNK), idx.size - 1, np.argmax(np.abs(rational))]
             checks.append((idx[np.unique(check)], vecs))
         pts = np.concatenate([p for p, _ in checks])
-        direct = np.concatenate([_steady_rho21_many(_detuned(
-            np.array([base(k) for k in owner[p].tolist()]), delta_p[p], delta_rf[p]))
-            for p in np.split(pts, np.arange(CHUNK, pts.size, CHUNK))])
+        direct = np.concatenate([_steady_rho21_many(_detuned(base, points[:, p]))
+                                 for p in np.split(pts, np.arange(CHUNK, pts.size, CHUNK))])
         _self_check(out[pts, None], direct[:, None], delta_p[pts], delta_rf[pts],
                     [vecs for p, vecs in checks for _ in p], "detuning")
     return out

@@ -690,15 +690,16 @@ class TestBadFieldsThroughCli:
         assert err.startswith("error: ") and "n_atoms = 5e-324" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("subcommand, text, code, message", [
-        ("scan", COLD_BASE.replace("omega_p = 2.5132741228718345e6", "omega_p = 1e300"), EXIT_NUMERIC,
-         "steady-state residual nan exceeds 1e-10"),
+        ("scan", COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\ngamma2 = 1e-300\ngamma3 = 1e-300\n"
+                                   "gamma4 = 1e-300\ngamma_deph = 0"), EXIT_NUMERIC,
+         "detuning-pole expansion misses direct solves"),
         ("scan", "[system]\nlambda_probe = 1e-300\n", EXIT_CONFIG,
          "amplitude transmission must satisfy 0 < t <= 1"),
         ("noise", COLD_BASE.replace("dt = 1e-3", "dt = 5e-324"), EXIT_CONFIG,
          "dt must be finite and > 0 with a finite 1/dt, got 5e-324"),
         ("allan", COLD_BASE.replace("dt = 1e-3", "dt = 5e-324"), EXIT_CONFIG,
          "dt must be finite and > 0 with a finite 1/dt, got 5e-324"),
-    ], ids=["cold-omega_p", "warm-lambda_probe", "noise-dt", "allan-dt"])
+    ], ids=["cold-rates", "warm-lambda_probe", "noise-dt", "allan-dt"])
     def test_extreme_value_prints_only_its_error_line(self, subcommand, text, code, message, tmp_path,
                                                       capsys):
         with warnings.catch_warnings():
@@ -706,6 +707,16 @@ class TestBadFieldsThroughCli:
             rc, err = self.run(text, [subcommand], tmp_path, capsys)
         assert rc == code
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_huge_probe_rabi_frequency_is_an_empty_medium(self, tmp_path, capsys):
+        # chi ~ rho21 / omega_p ~ 1e-293 / 1e300 underflows to 0, the physical limit
+        text = COLD_BASE.replace("omega_p = 2.5132741228718345e6", "omega_p = 1e300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = self.run(text, ["scan"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        rows = np.loadtxt(tmp_path / "o" / "spectrum.csv", delimiter=",")
+        assert rows.shape == (41, 5) and np.all(rows[:, 1:] == [0.0, 0.0, 1.0, 0.0])
 
     def test_ram_injected_at_the_root_of_the_bessel_slope(self, tmp_path, capsys):
         # beta = 1.8411..., the root of J1', zeroes J0 - J2 = 2 J1'(beta)

@@ -36,11 +36,48 @@ def solve(sys, drive, v=0.0):
     return steady_state(build_liouvillian(build_hamiltonian(sys, drive, v), sys))
 
 
-def rho21_at_velocities(sys, drive, velocities):
-    """Direct steady-state rho21 of one operating point for a stack of velocity classes."""
+def complex_trace_solve(lam, unit_cols=()):
+    """Trace-1 steady state of complex Liouvillians, solved in the row-major vec basis.
+
+    An oracle for the kernel's real-basis solve: each generator is normalized
+    by its largest entry and its row 0 replaced by ones on the populations;
+    column 0 is vec(rho), the others solve for the unit vectors e_j.
+    """
+    a = lam / np.max(np.abs(lam), axis=(-2, -1), keepdims=True)
+    a[..., 0, :] = 0.0
+    a[..., 0, [0, 5, 10, 15]] = 1.0
+    rhs = np.eye(16, dtype=complex)[:, [0, *unit_cols]]
+    return np.linalg.solve(a, np.broadcast_to(rhs, lam.shape[:-2] + rhs.shape))
+
+
+def shift_diagonal(h):
+    """Vec-space diagonal of -i[H, .] for a diagonal H: -i (h_ii - h_jj) on coherence (i, j)."""
+    s = np.diag(h).real
+    return (-1j * (s[:, None] - s[None, :])).ravel()
+
+
+def velocity_diagonal(sys):
+    """d L / d v as a vec-space diagonal."""
+    return shift_diagonal(build_hamiltonian(sys, FieldDrive(), 1.0))
+
+
+def oracle_rho21(sys, drive, diagonal, xs):
+    """Complex-oracle rho21 of `drive` moved by each of `xs` along a vec-space `diagonal` of L."""
     base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
-    offsets = np.multiply.outer(velocities, quantum._velocity_diagonal(sys))
-    return _steady_rho21_many(quantum._with_diagonal(base, offsets))
+    return complex_trace_solve(base + np.multiply.outer(xs, diagonal)[..., None] * np.eye(16))[..., 4, 0]
+
+
+def rho21_at_velocities(sys, drive, velocities):
+    """Complex-oracle rho21 of one operating point for a stack of velocity classes."""
+    return oracle_rho21(sys, drive, velocity_diagonal(sys), velocities)
+
+
+def kernel_rho21_at_velocities(sys, drive, velocities):
+    """The kernel's own direct solves of one operating point for a stack of velocity classes."""
+    reference = replace(drive, omega_rf=0.0, delta_p=0.0, delta_rf=0.0)
+    base = quantum._real(build_liouvillian(build_hamiltonian(sys, reference), sys))
+    gen = quantum._detuned(base, [drive.delta_p, drive.delta_rf, drive.omega_rf])
+    return _steady_rho21_many(gen + np.multiply.outer(velocities, quantum._generator(sys, v=1.0)))
 
 
 class TestHamiltonian:
@@ -200,7 +237,7 @@ def fixed_rule_average(sys, drive, panels=2000, order=16):
 class TestDopplerAverage:
     def test_cold_floor_returns_center_value(self, cold_system, default_drive):
         result = doppler_average(cold_system, default_drive)
-        assert result == rho21_at_velocities(cold_system, default_drive, np.zeros(1))[0]
+        assert result == kernel_rho21_at_velocities(cold_system, default_drive, np.zeros(1))[0]
         assert result == pytest.approx(solve(cold_system, default_drive).rho21, abs=1e-14)
 
     def test_matches_fixed_quadrature(self, warm_system, default_drive):
@@ -248,11 +285,11 @@ class TestDopplerAverage:
 
 
 def pole_expansion_oracle(sys, drive):
-    """Velocity-pole expansion of one operating point from its own Liouvillian."""
+    """Velocity-pole expansion of one operating point, from its complex Liouvillian."""
     base = build_liouvillian(build_hamiltonian(sys, drive, 0.0), sys)
-    d_v = quantum._velocity_diagonal(sys)
+    d_v = velocity_diagonal(sys)
     moving = np.flatnonzero(d_v)
-    sol = quantum._trace_solve(base, moving)
+    sol = complex_trace_solve(base, moving)
     x0, inv_cols = sol[:, 0], sol[:, 1:]
     d_p = d_v[moving] / np.max(np.abs(base))
     poles, vecs = np.linalg.eig(d_p[:, None] * inv_cols[moving, :])
@@ -334,6 +371,18 @@ class TestBatchedKernel:
         batch = quantum._mean_rho21(cold_system, drive, grid, 0.0)
         assert max_rel_diff(batch, per_point_rho21(cold_system, drive, grid, 0.0)) <= 1e-12
 
+    @pytest.mark.parametrize("span_hz", [100e9, 10e12, 100e12])
+    def test_cold_probe_scan_exact_at_any_span(self, cold_system, span_hz):
+        # far from resonance rho21 -> 0 along delta_p; the pole form reaches it
+        # without cancelling a constant against its pole terms
+        drive = replace(ATCAL_DRIVE, omega_rf=cold_system.mu_rf * 1.8 / HBAR)
+        grid = TWO_PI * np.linspace(-span_hz, span_hz, 20001)
+        batch = quantum._mean_rho21(cold_system, drive, grid, 0.0)
+        probe = shift_diagonal(build_hamiltonian(cold_system, FieldDrive(delta_p=1.0)))
+        oracle = np.concatenate([oracle_rho21(cold_system, drive, probe, chunk)
+                                 for chunk in np.array_split(grid, 10)])
+        assert max_rel_diff(batch, oracle) <= 1e-13
+
     def test_cold_probe_by_rf_grid(self, cold_system, monkeypatch):
         # 17 probe detunings x 121 RF detunings: 17 groups, expanded along delta_rf
         drive = replace(ATCAL_DRIVE, omega_rf=cold_system.mu_rf * 1.8 / HBAR)
@@ -382,6 +431,77 @@ class TestBatchedKernel:
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
         with pytest.raises(InvariantViolation, match="finite"):
             susceptibility_batch(cold_system, drive, np.array([0.0, math.nan]))
+
+
+class TestRealBasis:
+    """The kernel solves R = U^H L U in the orthonormal Hermitian basis; checked against complex L."""
+
+    @staticmethod
+    def random_liouvillians(n, seed, gamma2_min=0.0):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            # some rates exactly zero
+            rates = rng.uniform(0.0, 1e7, 4) * (rng.random(4) < 0.7)
+            rates[0] = max(rates[0], gamma2_min)
+            sys = LadderSystem(gamma2=rates[0], gamma3=rates[1], gamma4=rates[2],
+                               gamma_deph=rates[3], n_atoms=1e13)
+            drive = FieldDrive(*rng.uniform(0.0, 1e8, 3), *rng.uniform(-1e8, 1e8, 3))
+            yield build_liouvillian(build_hamiltonian(sys, drive, rng.normal(scale=300.0)), sys)
+
+    def test_basis_is_unitary_and_generators_real(self):
+        u = quantum._U
+        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-15
+        for lam in self.random_liouvillians(200, seed=20):
+            full = u.conj().T @ lam @ u
+            top = np.max(np.abs(lam))
+            assert np.max(np.abs(full.imag)) <= 1e-16 * top
+            r = quantum._real(lam)
+            assert np.max(np.abs(u @ r @ u.conj().T - lam)) <= 1e-15 * top
+            # the residual's scale is never above max|L|
+            assert 0.5 * np.max(np.abs(r)) <= top
+
+    def test_generators_match_complex_derivatives(self, warm_system):
+        h_probe = build_hamiltonian(warm_system, FieldDrive(delta_p=1.0))
+        h_rf = build_hamiltonian(warm_system, FieldDrive(delta_rf=1.0))
+        rabi = [build_liouvillian(build_hamiltonian(warm_system, FieldDrive(omega_rf=w)), warm_system)
+                for w in (1.0, 0.0)]
+        for generator, lam, moved in [
+                (quantum._GENERATORS[0], np.diag(shift_diagonal(h_probe)), 6),
+                (quantum._GENERATORS[1], np.diag(shift_diagonal(h_rf)), 6),
+                (quantum._generator(warm_system, v=1.0), np.diag(velocity_diagonal(warm_system)), 10),
+                (quantum._GENERATORS[2], rabi[0] - rabi[1], 11)]:
+            expected = quantum._real(lam)
+            assert np.max(np.abs(generator - expected)) <= 1e-15 * np.max(np.abs(expected))
+            assert np.count_nonzero(np.any(generator, axis=0)) == moved
+        # a detuning or the velocity rotates each coherence pair it shifts: one 2x2 block each
+        for generator in (quantum._GENERATORS[0], quantum._generator(warm_system, v=1.0)):
+            pairs = np.flatnonzero(np.any(generator, axis=0)).reshape(-1, 2)
+            assert np.all(pairs[:, 1] == pairs[:, 0] + 1) and np.all(pairs[:, 0] % 2 == 0)
+            assert np.array_equal(generator[pairs[:, 0], pairs[:, 1]], -generator[pairs[:, 1], pairs[:, 0]])
+            assert np.count_nonzero(generator) == pairs.size
+
+    def test_steady_state_matches_complex_oracle(self):
+        # a decaying probe level keeps the system well posed (gamma2 = 0 draws
+        # are near-degenerate, and there two good solves differ by up to 1e-8)
+        for lam in self.random_liouvillians(200, seed=21, gamma2_min=1e6):
+            rho = steady_state(lam).matrix
+            assert np.all(np.diag(rho).imag == 0) and np.array_equal(rho, rho.conj().T)
+            oracle = complex_trace_solve(lam)[:, 0].reshape(4, 4)
+            assert np.max(np.abs(rho - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("system", ["cold_system", "warm_system"])
+    def test_mean_rho21_matches_complex_oracle(self, system, default_drive, request):
+        sys = request.getfixturevalue(system)
+        delta_p, delta_rf = random_detunings(40, seed=22)
+        omega_rf = np.random.default_rng(23).choice(TWO_PI * np.array([0.0, 4e6, 11e6]), 40)
+        batch = quantum._mean_rho21(sys, default_drive, delta_p, delta_rf, omega_rf)
+        drives = [replace(default_drive, delta_p=p, delta_rf=r, omega_rf=w)
+                  for p, r, w in zip(delta_p, delta_rf, omega_rf)]
+        if system == "warm_system":
+            oracle = [pole_expansion_oracle(sys, d) for d in drives]
+        else:
+            oracle = [oracle_rho21(sys, d, velocity_diagonal(sys), np.zeros(1))[0] for d in drives]
+        assert max_rel_diff(batch, oracle) <= 1e-12
 
 
 def weak_probe_average(sys, drive, delta_p):
