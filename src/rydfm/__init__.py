@@ -43,7 +43,6 @@ from .quantum import (
     cs_vapor_density,
     doppler_average,
     steady_state,
-    susceptibility,
     susceptibility_batch,
 )
 from .scenario import Scenario, load_scenario, parse_scenario
@@ -75,7 +74,7 @@ __all__ = [
     "shot_noise_series", "shot_noise_snr",
     "DensityMatrix", "FieldDrive", "LadderSystem", "build_hamiltonian",
     "build_liouvillian", "cs_vapor_density", "doppler_average",
-    "steady_state", "susceptibility", "susceptibility_batch",
+    "steady_state", "susceptibility_batch",
     "Scenario", "load_scenario", "parse_scenario",
     "PidGains", "ServoTrace", "pid_step", "run_servo",
     "ziegler_nichols_gains",

@@ -206,8 +206,7 @@ def lorentzian_kernel(hwhm: float, step: float, max_len: int) -> np.ndarray:
     samples, re-normalized after truncation.
     """
     half = math.ceil(min(8 * hwhm / step, (max_len - 1) // 2))  # the ratio may overflow to inf
-    offsets = np.arange(-half, half + 1) * step
-    kernel = hwhm / (offsets ** 2 + hwhm ** 2)
+    kernel = LorentzParams(amplitude=1.0, sigma=hwhm, nu_c=0.0).evaluate(np.arange(-half, half + 1) * step)
     return kernel / np.linalg.norm(kernel)
 
 
@@ -241,7 +240,7 @@ def matched_filter(freqs: np.ndarray, values: np.ndarray, kernel: LorentzParams)
 
 
 def _lorentz_model(nu, amplitude, sigma, nu_c, offset):
-    return amplitude * sigma / ((nu - nu_c) ** 2 + sigma ** 2) + offset
+    return LorentzParams(amplitude, sigma, nu_c).evaluate(nu) + offset
 
 
 def lorentzian_fit(freqs: np.ndarray, values: np.ndarray) -> tuple[LorentzParams, float]:

@@ -158,7 +158,7 @@ def _csv_block(block: np.ndarray) -> bytes:
     text = text.reshape(*block.shape, 24)
     text[:, 1:, 0] = ord(",")
     text[:, -1, 23] = ord("\n")
-    return text[text != 0].tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
 def _header_lines(header: dict) -> list[str]:

@@ -303,7 +303,7 @@ SELF_CHECK_TOL = 1e-8
 # copies of CHUNK 16x16 real matrices (64 KB each); stacks of 64 or 128
 # were no faster.  A cold scan checks every CHUNK-th point by a direct solve.
 CHUNK = 32
-_CHECK_VELOCITIES = np.array([0.0, -1.0, 1.0, -3.0, 3.0])   # in units of sigma
+_CHECK_VELOCITIES = np.array([-1.0, 1.0, -3.0, 3.0])   # in units of sigma; v = 0 is c0
 
 
 def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
@@ -400,14 +400,15 @@ def _warm_rho21(sys: LadderSystem, base: np.ndarray, points: np.ndarray) -> np.n
 
     Along d R / d v (10 coordinates) rho21(v) is rational (`_pole_form`), and its
     pole terms average to the plasma-dispersion function.  Direct solves at
-    v = 0, +-sigma and +-3 sigma check every point.
+    +-sigma and +-3 sigma check every point; c0, the v = 0 solve itself, stands
+    in for v = 0 on both sides, where it sets the row's scale max|direct|.
     """
     gen, d_v = _detuned(base, points), _generator(sys, v=1.0)
     c0, alpha, poles, vecs = _pole_form(gen, d_v)
     probe_v = sys.v_thermal * _CHECK_VELOCITIES
     terms = alpha[:, None, :] * probe_v[:, None] / (1.0 + poles[:, None, :] * probe_v[:, None])
-    rational = c0[:, None] - terms.sum(axis=-1)
-    direct = np.stack([_steady_rho21_many(gen + v * d_v) for v in probe_v], axis=1)
+    rational = np.column_stack([c0, c0[:, None] - terms.sum(axis=-1)])
+    direct = np.column_stack([c0, *(_steady_rho21_many(gen + v * d_v) for v in probe_v)])
     _self_check(rational, direct, *points[:2], vecs, "velocity")
     return c0 - np.sum(alpha * _mean_pole_term(poles, sys.v_thermal), axis=-1)
 
@@ -489,8 +490,3 @@ def susceptibility_batch(
             f"negative probe absorption Im chi = {np.min(chi.imag):.3e}; passive medium violated"
         )
     return chi
-
-
-def susceptibility(sys: LadderSystem, drive: FieldDrive) -> complex:
-    """Complex probe susceptibility at one operating point (size-1 batch)."""
-    return complex(susceptibility_batch(sys, drive, drive.delta_p))

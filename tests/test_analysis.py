@@ -11,6 +11,7 @@ from rydfm.analysis import (
     allan_deviation,
     classify_noise,
     lorentzian_fit,
+    _lorentz_model,
     lorentzian_kernel,
     matched_filter,
     octave_taus,
@@ -187,6 +188,32 @@ class TestMatchedFilter:
         freqs = np.arange(101) * 1e6
         out = matched_filter(freqs, np.ones(101), LorentzParams(1.0, 2.5e6, 0.0))
         assert out.valid.start > 0 and out.valid.stop < 101
+
+
+class TestLorentzianBits:
+    """The kernel and the fit model evaluate `LorentzParams.evaluate`: the same bits
+    as the Lorentzian written out."""
+
+    # HWHM in steps, from the narrowest matched_filter accepts; above 16 steps the
+    # +-8 HWHM support is truncated to max_len samples
+    @pytest.mark.parametrize("hwhm_steps", [2.0, 2.7, 5.0, 12.5, 40.0, 1e3])
+    def test_kernel_matches_written_out_form(self, hwhm_steps):
+        step, max_len = 0.3e6, 257
+        hwhm = hwhm_steps * step
+        half = math.ceil(min(8 * hwhm / step, (max_len - 1) // 2))
+        offsets = np.arange(-half, half + 1) * step
+        written = hwhm / (offsets ** 2 + hwhm ** 2)
+        kernel = lorentzian_kernel(hwhm, step, max_len)
+        assert kernel.tobytes() == (written / np.linalg.norm(written)).tobytes()
+
+    def test_fit_model_matches_written_out_form(self):
+        rng = np.random.default_rng(11)
+        nu = np.linspace(-20e6, 20e6, 301)
+        for _ in range(20):
+            amplitude, sigma, nu_c, offset = (rng.normal() * 1e6, rng.uniform(1e4, 1e7),
+                                              rng.uniform(-5e6, 5e6), rng.normal())
+            written = amplitude * sigma / ((nu - nu_c) ** 2 + sigma ** 2) + offset
+            assert _lorentz_model(nu, amplitude, sigma, nu_c, offset).tobytes() == written.tobytes()
 
 
 class TestLorentzianFit:

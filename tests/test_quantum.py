@@ -25,7 +25,6 @@ from rydfm.quantum import (
     cs_vapor_density,
     doppler_average,
     steady_state,
-    susceptibility,
     susceptibility_batch,
 )
 
@@ -275,6 +274,15 @@ class TestDopplerAverage:
         with pytest.raises(NonConvergenceError, match=r"at probe detuning 5e\+06 Hz"):
             susceptibility_batch(warm_system, default_drive, grid)
 
+    @pytest.mark.parametrize("n, stacks", [(1, 1), (CHUNK, 1), (CHUNK + 1, 2)])
+    def test_self_check_solves_four_velocities_per_stack(self, warm_system, default_drive, monkeypatch,
+                                                         n, stacks):
+        # +-sigma and +-3 sigma; the pole form's own solve is the v = 0 check
+        direct, calls = quantum._steady_rho21_many, []
+        monkeypatch.setattr(quantum, "_steady_rho21_many", lambda lam: calls.append(lam.shape) or direct(lam))
+        quantum._mean_rho21(warm_system, default_drive, TWO_PI * np.linspace(-20e6, 20e6, n), 0.0)
+        assert len(calls) == 4 * stacks
+
     def test_negative_temperature_rejected(self):
         with pytest.raises(InvariantViolation):
             LadderSystem(temperature=-1.0, n_atoms=1e13)
@@ -360,7 +368,7 @@ class TestBatchedKernel:
 
     def test_single_point_is_a_size_one_batch(self, warm_system, default_drive):
         drive = replace(default_drive, delta_p=TWO_PI * 3e6, delta_rf=TWO_PI * 1e6)
-        assert susceptibility(warm_system, drive) == susceptibility_batch(
+        assert doppler_average(warm_system, drive) == quantum._mean_rho21(
             warm_system, replace(drive, delta_rf=0.0), [drive.delta_p], [drive.delta_rf])[0]
 
     @pytest.mark.parametrize("e_rf", [0.0, 0.9, 2.7])
@@ -555,27 +563,27 @@ class TestSusceptibility:
     def test_empty_cell(self, cold_system):
         sys = replace(cold_system, n_atoms=0.0)
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
-        assert susceptibility(sys, drive) == 0
+        assert susceptibility_batch(sys, drive, drive.delta_p) == 0
 
     def test_requires_probe(self, cold_system):
         with pytest.raises(InvariantViolation):
-            susceptibility(cold_system, FieldDrive())
+            susceptibility_batch(cold_system, FieldDrive(), 0.0)
 
     def test_nonfinite_drive_rejected(self, cold_system):
         with pytest.raises(InvariantViolation, match="omega_c"):
-            susceptibility(cold_system, FieldDrive(omega_p=4.2e7, omega_c=math.nan))
+            susceptibility_batch(cold_system, FieldDrive(omega_p=4.2e7, omega_c=math.nan), 0.0)
 
     def test_wings_monotone(self, cold_system):
         gamma = cold_system.gamma2
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
         detunings = np.linspace(3 * gamma, 30 * gamma, 12)
-        mags = [abs(susceptibility(cold_system, replace(drive, delta_p=d))) for d in detunings]
+        mags = [abs(susceptibility_batch(cold_system, drive, d)) for d in detunings]
         assert np.all(np.diff(mags) < 0)
 
     def test_absorption_peaks_on_resonance(self, cold_system):
         drive = FieldDrive(omega_p=TWO_PI * 1e6)
         grid = TWO_PI * np.linspace(-20e6, 20e6, 41)
-        ims = [susceptibility(cold_system, replace(drive, delta_p=d)).imag for d in grid]
+        ims = [susceptibility_batch(cold_system, drive, d).imag for d in grid]
         assert np.argmax(ims) == 20
 
     def test_passivity_random_points(self, warm_system, default_drive):
@@ -586,7 +594,7 @@ class TestSusceptibility:
                 delta_p=rng.uniform(-TWO_PI * 20e6, TWO_PI * 20e6),
                 omega_rf=rng.uniform(0, TWO_PI * 10e6),
             )
-            chi = susceptibility(warm_system, drive)
+            chi = susceptibility_batch(warm_system, drive, drive.delta_p)
             assert chi.imag >= -1e-12 * max(1.0, abs(chi))
 
 

@@ -11,7 +11,7 @@ from rydfm import pipelines, quantum
 from rydfm.constants import A0, E_CHARGE, H_PLANCK
 from rydfm.errors import DomainError, InvariantViolation
 from rydfm.pipelines import at_calibration, drive_at_field
-from rydfm.quantum import CHUNK, FieldDrive, susceptibility
+from rydfm.quantum import CHUNK, FieldDrive, susceptibility_batch
 from rydfm.scenario import load_scenario
 from rydfm.spectroscopy import (
     AtResult,
@@ -86,7 +86,7 @@ class TestScanProbe:
         grid = TWO_PI * np.linspace(-20e6, 20e6, 7)
         spec = scan_probe(warm_system, default_drive, grid)
         for d, chi in zip(grid, spec.chi):
-            single = susceptibility(warm_system, replace(default_drive, delta_p=d))
+            single = susceptibility_batch(warm_system, default_drive, d)
             assert chi == pytest.approx(single, rel=1e-12)
 
 
