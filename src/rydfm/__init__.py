@@ -49,7 +49,6 @@ from .scenario import Scenario, load_scenario, parse_scenario
 from .servo import (
     PidGains,
     ServoTrace,
-    pid_step,
     run_servo,
     ziegler_nichols_gains,
 )
@@ -76,8 +75,7 @@ __all__ = [
     "build_liouvillian", "cs_vapor_density", "doppler_average",
     "steady_state", "susceptibility_batch",
     "Scenario", "load_scenario", "parse_scenario",
-    "PidGains", "ServoTrace", "pid_step", "run_servo",
-    "ziegler_nichols_gains",
+    "PidGains", "ServoTrace", "run_servo", "ziegler_nichols_gains",
     "AtResult", "MediumSpectrum", "at_splitting", "field_from_splitting",
     "scan_probe", "splitting_from_field",
 ]

@@ -31,12 +31,74 @@ from .spectroscopy import MediumSpectrum
 BESSEL_CLOSURE_TOL = 1e-9
 
 
+# Past this |beta| with every wanted order below it, J_0 and J_1 come from
+# Hankel's expansion, whose 8 terms leave under 1e-18 relative there
+_HANKEL_X = 1000.0
+
+
+def _hankel01(x: float) -> tuple[float, float]:
+    """J_0(x) and J_1(x) by Hankel's expansion (DLMF 10.17.3), for x >= _HANKEL_X.
+
+    J_nu = sqrt(2 / (pi x)) Re(exp(i omega) sum_k i^k a_k(nu) / x^k) with
+    omega = x - nu pi / 2 - pi / 4, taken from cos x and sin x so that the
+    rounding of x - pi / 4 cannot enter at large x.
+    """
+    rotation = complex(math.cos(x), math.sin(x)) * complex(1.0, -1.0) / math.sqrt(2.0)
+    out = []
+    for mu in (0.0, 4.0):  # 4 nu^2
+        series, term = 0j, 1.0
+        for k in range(8):
+            series += term * (1, 1j, -1, -1j)[k % 4]
+            term *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
+        out.append(math.sqrt(2.0 / math.pi) / math.sqrt(x) * (rotation * series).real)
+        rotation *= -1j  # omega of J_1 is pi / 2 behind
+    return out[0], out[1]
+
+
+def _bessel_j(beta: float, n_max: int) -> np.ndarray:
+    """J_n(beta) for n = -n_max..n_max (all NaN for a non-finite beta).
+
+    With x = |beta|, J_k > 0 for every order k >= x, so there the ratios
+    J_k / J_(k-1) = x / (2 k - x J_(k+1) / J_k) run down from past the
+    turning point (continued fraction) and give each order to full relative
+    accuracy; below ceil(x) the recurrence J_(k-1) = (2 k / x) J_k - J_(k+1)
+    runs down, and J_0 + 2 sum_k J_2k = 1 normalizes (Miller).  Past
+    _HANKEL_X with n_max < x the recurrence runs up from Hankel's J_0 and
+    J_1 instead, stable below x, so the work is O(n_max) at any finite beta.
+    J_n(-x) = J_(-n)(x) = (-1)^n J_n(x).
+    """
+    x = abs(beta)
+    if not math.isfinite(x):
+        return np.full(2 * n_max + 1, math.nan)
+    if x > _HANKEL_X and n_max < x:
+        j = list(_hankel01(x))
+        for k in range(1, n_max):
+            j.append(2 * k / x * j[k] - j[k - 1])
+        j = np.array(j[: n_max + 1])
+    else:
+        top = math.ceil(x)
+        ratios, r = [], 0.0
+        for k in range(max(n_max, top) + 4 + math.ceil(12 * x ** (1 / 3)), top, -1):
+            r = x / (2 * k - x * r)
+            ratios.append(r)
+        # scaled f_top, f_(top - 1), ..., f_0: f_top = x below x = 1, so 2 k f_k / x
+        # cannot overflow, and the product by the first ratio is f_(top + 1)
+        down = [x if 0 < x < 1 else 1.0]
+        after = down[0] * r
+        for k in range(top, 0, -1):
+            down.append(2 * k * down[-1] / x - after)
+            after = down[-2]
+        f = np.concatenate([down[::-1], down[0] * np.cumprod(ratios[::-1])])
+        j = f[: n_max + 1] / (f[0] + 2.0 * np.sum(f[2::2]))
+    odd = np.arange(n_max + 1) % 2 == 1
+    if beta < 0:
+        j = np.where(odd, -j, j)
+    return np.concatenate([np.where(odd, -j, j)[:0:-1], j])
+
+
 def bessel_closure(beta: float, n_max: int) -> float:
     """Retained optical power sum_{|n|<=n_max} J_n(beta)^2 (exactly 1 at inf)."""
-    from scipy.special import jv  # ~0.3 s to import, so only where used
-
-    orders = np.arange(-n_max, n_max + 1)
-    return float(np.sum(jv(orders, beta) ** 2))
+    return float(np.sum(_bessel_j(beta, n_max) ** 2))
 
 
 def _check_truncation(beta: float, n_max: int) -> None:
@@ -132,11 +194,9 @@ def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> Sideband
     Raises TruncationError when the retained power falls below
     1 - 1e-9 at the requested order cutoff.
     """
-    from scipy.special import jv  # ~0.3 s to import, so only where used
-
     _check_truncation(beta, n_max)
     orders = np.arange(-n_max, n_max + 1)
-    return SidebandSet(orders=orders, amps=jv(orders, beta).astype(complex), omega_m=omega_m)
+    return SidebandSet(orders=orders, amps=_bessel_j(beta, n_max).astype(complex), omega_m=omega_m)
 
 
 def propagate(sb: SidebandSet, spec: MediumSpectrum, carrier_detuning) -> SidebandSet:
@@ -197,7 +257,10 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
 
 def _ram_amplitude(p: RamParams, n: int) -> float:
     """-e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M), the RAM factor of sin(dphi_n + dphi_dc)."""
-    from scipy.special import jv  # ~0.3 s to import, so only where used
+    # scipy's jv, not _bessel_j: the servo bodies hold its J_1(0.1), one ulp
+    # above the correctly rounded value that _bessel_j gives; the only user of
+    # scipy.special, imported here so that no other path loads it
+    from scipy.special import jv
 
     return -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle) * float(jv(n, p.m_diff))
 

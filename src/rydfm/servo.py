@@ -32,12 +32,6 @@ class PidGains:
 
 
 @dataclass
-class PidState:
-    integral: float = 0.0
-    prev_error: float | None = None
-
-
-@dataclass
 class ServoTrace:
     """Time series of one closed- or open-loop run."""
 
@@ -57,21 +51,6 @@ class ServoTrace:
 def plant_gain(p: RamParams) -> float:
     """|d error / d dphi_dc| of the linearized plant at the null."""
     return abs(_ram_amplitude(p, 1))
-
-
-def pid_step(state: PidState, error: float, gains: PidGains) -> tuple[PidState, float]:
-    """One controller update; returns the new state and the control increment.
-
-    Standard discrete PID with a per-step integrator clamped to
-    +-integrator_clamp (anti-windup).  The caller accumulates the increment
-    into the control variable and clamps that to +-output_clamp.
-    """
-    if not math.isfinite(error):
-        raise InvariantViolation("error must be finite")
-    integral = min(max(state.integral + error, -gains.integrator_clamp), gains.integrator_clamp)
-    derivative = 0.0 if state.prev_error is None else error - state.prev_error
-    increment = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    return PidState(integral=integral, prev_error=error), increment
 
 
 def ziegler_nichols_gains(plant_gain_value: float, dt: float) -> PidGains:
@@ -145,8 +124,10 @@ def run_servo(
 
     kp, ki, kd = gains.kp, gains.ki, gains.kd
     i_clamp, u_clamp = gains.integrator_clamp, gains.output_clamp
-    # pid_step's arithmetic, inlined, with each min(max(v, -c), c) written as
-    # the comparisons it makes; the state is `integral` and `prev`
+    # a standard discrete PID whose per-step integrator is clamped to
+    # +-integrator_clamp (anti-windup) and whose increment accumulates into u,
+    # clamped to +-output_clamp; each min(max(v, -c), c) is written as the
+    # comparisons it makes
     integral, prev, u = 0.0, None, 0.0
     if lock:
         control, error = [], []

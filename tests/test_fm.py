@@ -116,6 +116,62 @@ class TestSidebands:
                 FmConfig(**{field: value})
 
 
+def bits(a):
+    """The IEEE bit patterns of a float array, so that -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestBesselKernel:
+    """fm._bessel_j against scipy's jv, and the identities J_n must keep."""
+
+    N = 40
+    ORDERS = np.arange(-N, N + 1)
+    BETAS = np.concatenate([np.geomspace(1e-6, 100, 81), -np.geomspace(1e-6, 100, 81)])
+
+    def test_matches_jv(self):
+        got = np.array([fm._bessel_j(beta, self.N) for beta in self.BETAS])
+        ref = jv(self.ORDERS, self.BETAS[:, None])
+        assert np.max(np.abs(got - ref)) <= 2e-15
+        # relative accuracy where J_n has no zero, |beta| <= |n| + 1 < j_(n,1),
+        # which takes in every tiny order at small beta; nearer a zero jv's own
+        # error shows (at J_24(100) = -4.4e-4 it is 4.1e-13 relative)
+        no_zero = (np.abs(self.BETAS[:, None]) <= np.abs(self.ORDERS) + 1) & (np.abs(ref) >= 1e-290)
+        assert np.count_nonzero(no_zero & (np.abs(ref) < 1e-200)) > 100
+        assert np.max(np.abs(got - ref)[no_zero] / np.abs(ref[no_zero])) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1e3, 2.5e4, 1e6, -1e8, 1e15])
+    def test_matches_jv_past_the_hankel_switch(self, beta):
+        assert np.max(np.abs(fm._bessel_j(beta, self.N) - jv(self.ORDERS, beta))) <= 2e-15
+
+    def test_zero_index_is_the_carrier_alone(self):
+        assert np.array_equal(fm._bessel_j(0.0, self.N), (self.ORDERS == 0).astype(float))
+
+    def test_order_and_argument_parity_bit_for_bit(self):
+        # J_(-n)(beta) = J_n(-beta) = (-1)^n J_n(beta)
+        sign = np.where(np.arange(1, self.N + 1) % 2, -1.0, 1.0)
+        for beta in [0.0, *self.BETAS, 2e3, 1e308]:
+            j = fm._bessel_j(beta, self.N)
+            assert np.all(np.isfinite(j))
+            assert np.array_equal(bits(j[: self.N][::-1]), bits(sign * j[self.N + 1:]))
+            if beta:
+                flipped = np.where(self.ORDERS % 2, -j, j)
+                assert np.array_equal(bits(fm._bessel_j(-beta, self.N)), bits(flipped))
+
+    @pytest.mark.parametrize("beta", np.linspace(-20, 20, 41))
+    def test_closure_at_forty_orders(self, beta):
+        assert abs(bessel_closure(beta, self.N) - 1) <= 1e-15
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_index_gives_nan(self, beta):
+        assert np.all(np.isnan(fm._bessel_j(beta, 3)))
+        with pytest.raises(TruncationError, match="nan"):
+            sidebands(beta, 3)
+
+    @pytest.mark.parametrize("beta", [1e308, -1e308, 5e-324])
+    def test_extreme_finite_index_is_finite(self, beta):
+        assert np.all(np.isfinite(fm._bessel_j(beta, 1000)))
+
+
 def closure_crossing(n_max: int) -> float:
     """The beta > 0 where the float closure crosses 1 - BESSEL_CLOSURE_TOL, by bisection."""
     lo, hi = 0.0, n_max + 2.0
@@ -145,7 +201,7 @@ def dropped_power(beta: float, n_max: int) -> float:
 
 
 class TestTruncationCheck:
-    """The scipy-free bound in _check_truncation against the exact closure."""
+    """The closed-form bound in _check_truncation against the exact closure."""
 
     @pytest.mark.parametrize("n_max", range(1, 41))
     def test_same_decision_and_message_as_exact_closure(self, n_max, monkeypatch):

@@ -11,9 +11,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # scipy submodules that take most of a second to import; the package never
 # needs them at import time
 HEAVY = ("scipy.signal", "scipy.optimize", "scipy.stats")
-# loaded on first use by the quantum, FM and servo paths only: importing,
-# loading a scenario, `noise` and `allan` never need it
+# loaded only by the residual-AM amplitude (`servo`, or `fmscan` with
+# apply_ram), which keeps scipy's J_n: importing, loading a scenario, `noise`,
+# `allan` and the warm and FM paths never need it
 DEFERRED = ("scipy.special",)
+WARM_FM = ("scan", "fmscan", "matched", "sensitivity")
 
 PROBE = f"""
 import json, sys
@@ -38,6 +40,16 @@ noise_cfg = root / "perfbench" / "scenarios" / "tiny" / "timeseries" / "noise.cf
 for sub in ("noise", "allan"):
     exits[sub] = rydfm.cli.main([sub, "--config", str(noise_cfg), "--out", out])
     record(f"rydfm {{sub}}")
+tiny = root / "perfbench" / "scenarios" / "tiny" / "warm_cell"
+runs = [(sub, tiny / f"{{sub}}.cfg") for sub in {WARM_FM!r}]
+runs += [(sub, root / "configs" / "default.cfg") for sub in {WARM_FM!r}]
+for sub, path in runs:
+    stage = f"rydfm {{sub}} {{path.relative_to(root).as_posix()}}"
+    exits[stage] = rydfm.cli.main([sub, "--config", str(path), "--out", out])
+    record(stage)
+servo_cfg = root / "configs" / "servo_demo.cfg"
+exits["servo"] = rydfm.cli.main(["servo", "--config", str(servo_cfg), "--out", out])
+record("rydfm servo")
 print(json.dumps({{"stages": stages, "exits": exits}}))
 """
 
@@ -56,7 +68,15 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     loads = [s for s in stages if s.startswith("load_scenario ")]
     assert len(loads) == 3 + 8  # the shipped configs and perfbench/scenarios/full
     assert "load_scenario configs/default.cfg" in loads
-    assert list(stages)[-2:] == ["rydfm noise", "rydfm allan"]
-    assert {stage: loaded for stage, loaded in stages.items() if loaded} == {}
-    assert report["exits"] == {"noise": 0, "allan": 0}
-    assert {"manifest_noise.txt", "manifest_allan.txt"} <= {p.name for p in tmp_path.iterdir()}
+    warm = [s for s in stages if s.startswith(tuple(f"rydfm {sub} " for sub in WARM_FM))]
+    assert len(warm) == 2 * 4  # on perfbench/scenarios/tiny/warm_cell and on default.cfg
+    assert {"rydfm matched perfbench/scenarios/tiny/warm_cell/matched.cfg",
+            "rydfm sensitivity configs/default.cfg"} <= set(warm)
+    assert list(stages)[-1] == "rydfm servo"
+    assert list(stages)[-len(warm) - 3:-len(warm) - 1] == ["rydfm noise", "rydfm allan"]
+    # the RAM amplitude of `servo` is the one user of scipy.special
+    assert {stage: loaded for stage, loaded in stages.items() if loaded} == {
+        "rydfm servo": list(DEFERRED)}
+    assert set(report["exits"].values()) == {0} and len(report["exits"]) == 2 + len(warm) + 1
+    names = {p.name for p in tmp_path.iterdir()}
+    assert {f"manifest_{sub}.txt" for sub in ("noise", "allan", *WARM_FM, "servo")} <= names

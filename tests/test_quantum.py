@@ -543,6 +543,18 @@ def weak_probe_average(sys, drive, delta_p):
     return np.array(out)
 
 
+class TestFaddeeva:
+    def test_matches_wofz_on_the_closed_upper_half_plane(self):
+        # log-polar: 10 moduli per decade from 1e-3 to 1e6 at 11 angles inside
+        # (0, pi), both halves of the real axis, and z = 0
+        r = np.geomspace(1e-3, 1e6, 91)
+        theta = np.linspace(0.0, math.pi, 13)[1:-1]
+        z = np.concatenate([(r[:, None] * np.exp(1j * theta)).ravel(), r, -r, [0.0]]).astype(complex)
+        assert np.all(z.imag >= 0)
+        ref = wofz(z)
+        assert np.max(np.abs(quantum._faddeeva(z) - ref) / np.abs(ref)) <= 5e-14
+
+
 class TestWeakProbeOracle:
     def test_error_scales_as_probe_rabi_squared(self, warm_system, default_drive):
         # the default warm coupling (7 MHz, +1 MHz detuned) with the RF off;

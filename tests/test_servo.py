@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,7 @@ from rydfm.fm import RamParams, apply_ram, demodulate, ram_mod_depth, sidebands
 from rydfm.noise import TimeSeries
 from rydfm.servo import (
     PidGains,
-    PidState,
     constant_drift,
-    pid_step,
     plant_gain,
     ramp_drift,
     random_walk_drift,
@@ -24,6 +22,27 @@ from rydfm.servo import (
 RAM = RamParams(alpha=0.05, beta_angle=0.05, m_diff=0.1)
 GAIN = plant_gain(RAM)
 GAINS = ziegler_nichols_gains(GAIN, 1e-3)
+
+
+@dataclass
+class PidState:
+    integral: float = 0.0
+    prev_error: float | None = None
+
+
+def pid_step(state: PidState, error: float, gains: PidGains) -> tuple[PidState, float]:
+    """Oracle of `run_servo`'s inlined loop: one controller update.
+
+    Standard discrete PID with a per-step integrator clamped to
+    +-integrator_clamp (anti-windup); returns the new state and the control
+    increment, which the caller accumulates and clamps to +-output_clamp.
+    """
+    if not math.isfinite(error):
+        raise InvariantViolation("error must be finite")
+    integral = min(max(state.integral + error, -gains.integrator_clamp), gains.integrator_clamp)
+    derivative = 0.0 if state.prev_error is None else error - state.prev_error
+    increment = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    return PidState(integral=integral, prev_error=error), increment
 
 
 class TestDemodError:
