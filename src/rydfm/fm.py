@@ -29,6 +29,8 @@ from .errors import (
 from .spectroscopy import MediumSpectrum
 
 BESSEL_CLOSURE_TOL = 1e-9
+V_PI = 3.5  # V, a placeholder half-wave voltage typical of waveguide modulators
+IMPEDANCE = 50.0  # ohm, the modulator's RF input
 
 
 # Past this |beta| with every wanted order below it, J_0 and J_1 come from
@@ -96,36 +98,6 @@ def _bessel_j(beta: float, n_max: int) -> np.ndarray:
     return np.concatenate([np.where(odd, -j, j)[:0:-1], j])
 
 
-def bessel_closure(beta: float, n_max: int) -> float:
-    """Retained optical power sum_{|n|<=n_max} J_n(beta)^2 (exactly 1 at inf)."""
-    return float(np.sum(_bessel_j(beta, n_max) ** 2))
-
-
-def _check_truncation(beta: float, n_max: int) -> None:
-    """Raise unless orders -n_max..n_max keep 1 - 1e-9 of the power (NaN fails)."""
-    if not (n_max >= 1):
-        raise InvariantViolation("n_max must be >= 1")
-    # DLMF 10.14.4: |J_n(beta)| <= x^n / n! with x = |beta| / 2.  Past n_max
-    # consecutive bounds shrink by at most r = x / (n_max + 2), so the power
-    # outside the kept orders, 2 sum_{n > n_max} J_n^2, is at most
-    # 2 b^2 / (1 - r^2) with b = x^(n_max + 1) / (n_max + 1)!.  At a tenth of
-    # the tolerance the float closure passes with room to spare, so it need
-    # not be computed; NaN, inf and a loose bound take the exact path.  log b
-    # is capped at 0 so that exp cannot overflow (b >= 1 fails anyway).
-    x = abs(beta) / 2
-    if x < n_max + 2 < math.inf:
-        log_b = (n_max + 1) * math.log(x) - math.lgamma(n_max + 2) if x > 0 else -math.inf
-        dropped = 2 * math.exp(2 * min(log_b, 0.0)) / (1 - (x / (n_max + 2)) ** 2)
-        if dropped <= BESSEL_CLOSURE_TOL / 10:
-            return
-    closure = bessel_closure(beta, n_max)
-    if not (closure >= 1 - BESSEL_CLOSURE_TOL):
-        raise TruncationError(
-            f"sideband truncation keeps {closure:.12f} of the power at "
-            f"n_max = {n_max}, beta = {beta}"
-        )
-
-
 @dataclass
 class FmConfig:
     """Modulation and demodulation settings of the FM readout."""
@@ -138,7 +110,7 @@ class FmConfig:
     def __post_init__(self) -> None:
         if isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer)):
             raise InvariantViolation(f"n_max must be an integer, got {self.n_max!r}")
-        _check_truncation(self.beta, self.n_max)  # first, so a NaN beta is a TruncationError
+        sidebands(self.beta, self.n_max)  # first, so a NaN beta is a TruncationError
         require(self, positive=("omega_m",))
 
 
@@ -189,14 +161,19 @@ class SidebandSet:
 
 
 def sidebands(beta: float, n_max: int, omega_m: float | None = None) -> SidebandSet:
-    """Phase-modulation sideband set with amplitudes J_n(beta).
+    """Phase-modulation sideband set with amplitudes J_n(beta), and the one truncation check.
 
-    Raises TruncationError when the retained power falls below
-    1 - 1e-9 at the requested order cutoff.
+    Raises TruncationError unless orders -n_max..n_max keep 1 - 1e-9 of the
+    power, summed from the same J_n (NaN fails); `FmConfig` runs it at load.
     """
-    _check_truncation(beta, n_max)
-    orders = np.arange(-n_max, n_max + 1)
-    return SidebandSet(orders=orders, amps=_bessel_j(beta, n_max).astype(complex), omega_m=omega_m)
+    if not (n_max >= 1):
+        raise InvariantViolation("n_max must be >= 1")
+    amps = _bessel_j(beta, n_max)
+    closure = float(np.sum(amps ** 2))
+    if not (closure >= 1 - BESSEL_CLOSURE_TOL):
+        raise TruncationError(f"sideband truncation keeps {closure:.12f} of the power at "
+                              f"n_max = {n_max}, beta = {beta}")
+    return SidebandSet(orders=np.arange(-n_max, n_max + 1), amps=amps.astype(complex), omega_m=omega_m)
 
 
 def propagate(sb: SidebandSet, spec: MediumSpectrum, carrier_detuning) -> SidebandSet:
@@ -290,15 +267,12 @@ def apply_ram(sb: SidebandSet, p: RamParams) -> SidebandSet:
     return SidebandSet(orders=sb.orders.copy(), amps=amps, omega_m=sb.omega_m)
 
 
-def index_from_dbm(dbm: float, v_pi: float = 3.5, impedance: float = 50.0) -> float:
+def index_from_dbm(dbm: float) -> float:
     """Modulation index from RF drive power using a linear volts-to-index map.
 
-    The drive voltage amplitude is sqrt(2 P Z) with P = 10**(dbm/10) mW and
-    beta = pi V / V_pi.  V_pi defaults to a placeholder 3.5 V typical of
-    waveguide modulators; calibrate it per device.
+    The drive voltage amplitude is sqrt(2 P Z) with P = 10**(dbm/10) mW,
+    Z = IMPEDANCE, and beta = pi V / V_PI; calibrate V_PI per device.
     """
-    if v_pi <= 0 or impedance <= 0:
-        raise InvariantViolation("v_pi and impedance must be > 0")
     power_w = 1e-3 * 10 ** (dbm / 10)
-    volts = math.sqrt(2 * power_w * impedance)
-    return math.pi * volts / v_pi
+    volts = math.sqrt(2 * power_w * IMPEDANCE)
+    return math.pi * volts / V_PI

@@ -426,21 +426,21 @@ def _mean_rho21(sys: LadderSystem, drive: FieldDrive, delta_p, delta_rf, omega_r
     flat = np.reshape(points, (3, -1))
     if sys.v_thermal < V_THERMAL_FLOOR:
         return _cold_rho21(base, flat).reshape(points[0].shape)
-    out = np.empty(flat.shape[1], dtype=complex)
+    out, d_v = np.empty(flat.shape[1], dtype=complex), _generator(sys, v=1.0)
     for start in range(0, out.size, CHUNK):
-        out[start:start + CHUNK] = _warm_rho21(sys, base, flat[:, start:start + CHUNK])
+        out[start:start + CHUNK] = _warm_rho21(sys, base, d_v, flat[:, start:start + CHUNK])
     return out.reshape(points[0].shape)
 
 
-def _warm_rho21(sys: LadderSystem, base: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _warm_rho21(sys: LadderSystem, base: np.ndarray, d_v: np.ndarray, points: np.ndarray) -> np.ndarray:
     """<rho21> for one stack of warm operating points (as in `_detuned`).
 
-    Along d R / d v (10 coordinates) rho21(v) is rational (`_pole_form`), and its
-    pole terms average to the plasma-dispersion function.  Direct solves at
+    Along d_v = d R / d v (10 coordinates) rho21(v) is rational (`_pole_form`),
+    and its pole terms average to the plasma-dispersion function.  Direct solves at
     +-sigma and +-3 sigma check every point; c0, the v = 0 solve itself, stands
     in for v = 0 on both sides, where it sets the row's scale max|direct|.
     """
-    gen, d_v = _detuned(base, points), _generator(sys, v=1.0)
+    gen = _detuned(base, points)
     c0, alpha, poles, vecs = _pole_form(gen, d_v)
     probe_v = sys.v_thermal * _CHECK_VELOCITIES
     terms = alpha[:, None, :] * probe_v[:, None] / (1.0 + poles[:, None, :] * probe_v[:, None])

@@ -116,7 +116,7 @@ class ScanOpts:
         if self.quantity not in ("probe_detuning", "rf_field"):
             raise InvariantViolation("quantity must be probe_detuning or rf_field")
         require(self, positive=("step_hz", "e_step", "kernel_hwhm_hz", "e_operating"),
-                nonnegative=("line_noise_rms",))
+                nonnegative=("e_start", "line_noise_rms"))
         for start, stop in (("start_hz", "stop_hz"), ("e_start", "e_stop")):
             if not getattr(self, stop) > getattr(self, start):
                 raise InvariantViolation(f"{stop} must exceed {start}")
@@ -275,7 +275,10 @@ def parse_scenario(text: str) -> Scenario:
     if ("drive", "e_rf") in values:
         if ("drive", "omega_rf") in values:
             raise ParseError("[drive] e_rf and omega_rf are mutually exclusive")
-        drive = pipelines.drive_at_field(system, drive, values[("drive", "e_rf")])
+        try:
+            drive = pipelines.drive_at_field(system, drive, values[("drive", "e_rf")])
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"[drive] e_rf = {values[('drive', 'e_rf')]!r}: {exc}") from exc
 
     scan_opts = build("scan")
 

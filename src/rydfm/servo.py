@@ -82,18 +82,18 @@ def ramp_drift(rate: float, start: float = 0.0):
     return model
 
 
-def sinusoid_drift(amplitude: float, freq_hz: float, phase: float = 0.0):
-    """dphi_n(t) = amplitude * sin(2 pi f t + phase)."""
+def sinusoid_drift(amplitude: float, freq_hz: float):
+    """dphi_n(t) = amplitude * sin(2 pi f t)."""
     def model(t: np.ndarray) -> np.ndarray:
-        return amplitude * np.sin(2 * np.pi * freq_hz * t + phase)
+        return amplitude * np.sin(2 * np.pi * freq_hz * t)
     return model
 
 
-def random_walk_drift(step_std: float, seed: int, start: float = 0.0):
-    """Cumulative Gaussian steps, deterministic for a given seed."""
+def random_walk_drift(step_std: float, seed: int):
+    """Cumulative Gaussian steps from 0, deterministic for a given seed."""
     def model(t: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        return start + np.cumsum(rng.normal(0.0, step_std, t.size))
+        return np.cumsum(rng.normal(0.0, step_std, t.size))
     return model
 
 

@@ -644,6 +644,20 @@ class TestBadFieldsThroughCli:
         rc, err = self.run(text, ["servo"], tmp_path, capsys)
         assert (rc, err) == (EXIT_CONFIG, "error: [ram] drift_step_std must be >= 0, got -1.0\n")
 
+    @pytest.mark.parametrize("subcommand, text, start", [
+        ("scan", COLD_BASE.replace("e_start = 0.9", "e_start = -0.9"),
+         "error: [scan] e_start must be >= 0, got -0.9\n"),
+        ("atcal", COLD_BASE.replace("e_start = 0.9", "e_start = -0.9"),
+         "error: [scan] e_start must be >= 0, got -0.9\n"),
+        ("scan", "[drive]\ne_rf = -1\n", "error: [drive] e_rf = -1.0: omega_rf must be >= 0"),
+        ("atcal", "[drive]\ne_rf = 1e308\n", "error: [drive] e_rf = 1e+308: omega_rf must be finite"),
+    ], ids=["scan-e_start", "atcal-e_start", "negative-e_rf", "huge-e_rf"])
+    def test_bad_rf_field_names_its_key(self, subcommand, text, start, tmp_path, capsys):
+        rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert rc == EXIT_CONFIG
+        assert err.startswith(start) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_kernel_span_overflowing_the_step(self, tmp_path, capsys):
         # 8 * kernel_hwhm_hz / step_hz overflows although the HWHM squared does not
         text = (COLD_BASE.replace("start_hz = -10e6", "start_hz = -1e-153")

@@ -20,9 +20,7 @@ from rydfm.fm import (
     FmConfig,
     RamParams,
     SidebandSet,
-    _check_truncation,
     apply_ram,
-    bessel_closure,
     dc_power,
     demodulate,
     index_from_dbm,
@@ -101,7 +99,9 @@ class TestSidebands:
             SidebandSet(orders=orders, amps=np.ones(np.shape(orders)[-1]))
 
     def test_closure_helper(self):
-        assert bessel_closure(0.7, 8) == pytest.approx(1.0, abs=1e-12)
+        # the power the truncation check reads is that of the set it builds
+        assert closure(0.7, 8) == dc_power(sidebands(0.7, 8))
+        assert closure(0.7, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_nan_index_rejected(self):
         with pytest.raises(TruncationError, match="nan"):
@@ -114,6 +114,11 @@ class TestSidebands:
         for value in (math.nan, math.inf):
             with pytest.raises(InvariantViolation, match=field):
                 FmConfig(**{field: value})
+
+
+def closure(beta: float, n_max: int) -> float:
+    """Retained power sum_{|n| <= n_max} J_n(beta)^2 of the in-repo kernel."""
+    return float(np.sum(fm._bessel_j(beta, n_max) ** 2))
 
 
 def bits(a):
@@ -159,7 +164,7 @@ class TestBesselKernel:
 
     @pytest.mark.parametrize("beta", np.linspace(-20, 20, 41))
     def test_closure_at_forty_orders(self, beta):
-        assert abs(bessel_closure(beta, self.N) - 1) <= 1e-15
+        assert abs(closure(beta, self.N) - 1) <= 1e-15
 
     @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
     def test_non_finite_index_gives_nan(self, beta):
@@ -175,9 +180,9 @@ class TestBesselKernel:
 def closure_crossing(n_max: int) -> float:
     """The beta > 0 where the float closure crosses 1 - BESSEL_CLOSURE_TOL, by bisection."""
     lo, hi = 0.0, n_max + 2.0
-    assert bessel_closure(hi, n_max) < 1 - BESSEL_CLOSURE_TOL
+    assert closure(hi, n_max) < 1 - BESSEL_CLOSURE_TOL
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if bessel_closure(mid, n_max) >= 1 - BESSEL_CLOSURE_TOL:
+        if closure(mid, n_max) >= 1 - BESSEL_CLOSURE_TOL:
             lo = mid
         else:
             hi = mid
@@ -201,49 +206,55 @@ def dropped_power(beta: float, n_max: int) -> float:
 
 
 class TestTruncationCheck:
-    """The closed-form bound in _check_truncation against the exact closure."""
+    """The one truncation check, run by `sidebands` and `FmConfig`, against the closure and jv."""
+
+    @staticmethod
+    def decision(beta, n_max):
+        """The messages `sidebands` and `FmConfig` raise, or None for both when they accept."""
+        messages = []
+        for make in (sidebands, lambda b, n: FmConfig(beta=b, n_max=n)):
+            try:
+                make(beta, n_max)
+                messages.append(None)
+            except TruncationError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1], beta
+        return messages[0]
 
     @pytest.mark.parametrize("n_max", range(1, 41))
-    def test_same_decision_and_message_as_exact_closure(self, n_max, monkeypatch):
-        exact = fm.bessel_closure
-        calls = []
-        monkeypatch.setattr(fm, "bessel_closure", lambda b, n: calls.append(b) or exact(b, n))
-        crossing = closure_crossing(n_max)
+    def test_same_decision_and_message_as_exact_closure(self, n_max):
+        oracle_checked = 0
         for beta in truncation_cases(n_max):
-            calls.clear()
-            closure = exact(beta, n_max)
-            if closure >= 1 - BESSEL_CLOSURE_TOL:
-                _check_truncation(beta, n_max)
+            kept = closure(beta, n_max)
+            message = self.decision(beta, n_max)
+            if kept >= 1 - BESSEL_CLOSURE_TOL:
+                assert message is None, beta
             else:
-                with pytest.raises(TruncationError) as info:
-                    _check_truncation(beta, n_max)
-                assert str(info.value) == (
-                    f"sideband truncation keeps {closure:.12f} of the power at "
+                assert message == (
+                    f"sideband truncation keeps {kept:.12f} of the power at "
                     f"n_max = {n_max}, beta = {beta}"
                 )
-            if not calls:  # decided by the bound alone, which must be rigorous
-                assert dropped_power(beta, n_max) <= BESSEL_CLOSURE_TOL / 10, beta
-            elif abs(beta) <= crossing / 2:  # and not so loose that it rarely decides
-                raise AssertionError(f"bound undecided at beta = {beta}")
+            # the jv tail is the whole dropped power while |beta| stays below
+            # n_max + 2, far under the 60th order past the cutoff
+            if abs(beta) < n_max + 2:
+                dropped = dropped_power(beta, n_max)
+                if dropped <= BESSEL_CLOSURE_TOL / 10:
+                    assert message is None, beta
+                    oracle_checked += 1
+                elif dropped >= 10 * BESSEL_CLOSURE_TOL:
+                    assert message is not None, beta
+                    oracle_checked += 1
+        assert oracle_checked >= 40
 
     @pytest.mark.parametrize("beta", [1000.0, 1990.0, 2003.0, 2100.0])
     def test_large_orders_near_the_ratio_limit(self, beta):
-        # x = beta / 2 approaches n_max + 2, where b alone would overflow
+        # a thousand orders, with beta from the cutoff to just past twice it
         n_max = 1000
-        if bessel_closure(beta, n_max) >= 1 - BESSEL_CLOSURE_TOL:
-            _check_truncation(beta, n_max)
+        if closure(beta, n_max) >= 1 - BESSEL_CLOSURE_TOL:
+            sidebands(beta, n_max)
         else:
             with pytest.raises(TruncationError):
-                _check_truncation(beta, n_max)
-
-    def test_defaults_skip_the_exact_closure(self, monkeypatch):
-        def fail(beta, n_max):
-            raise AssertionError("bessel_closure called")
-
-        monkeypatch.setattr(fm, "bessel_closure", fail)
-        FmConfig()
-        with pytest.raises(AssertionError):
-            FmConfig(beta=2.0, n_max=1)
+                sidebands(beta, n_max)
 
 
 class TestPropagate:
@@ -398,7 +409,7 @@ class TestDemodulate:
                                   carrier):
         # closed-form and time-domain lock-ins agree on any set the
         # modulator and RAM model produce, before and after the medium
-        assume(bessel_closure(beta, n_max) >= 1 - 1e-9)
+        assume(closure(beta, n_max) >= 1 - 1e-9)
         sb = sidebands(beta, n_max, omega_m=OMEGA_M)
         ram = RamParams(alpha=alpha, beta_angle=beta_angle, m_diff=m_diff, dphi_n=dphi)
         sb = apply_ram(sb, ram)
