@@ -286,7 +286,11 @@ def parse_scenario(text: str) -> Scenario:
     if ("fm", "drive_dbm") in values:
         if ("fm", "beta") in values:
             raise ParseError("[fm] beta and drive_dbm are mutually exclusive")
-        fm_extra["beta"] = index_from_dbm(values[("fm", "drive_dbm")])
+        dbm = values[("fm", "drive_dbm")]
+        try:
+            fm_extra["beta"] = index_from_dbm(dbm)
+        except OverflowError as exc:
+            raise InvariantViolation(f"[fm] drive_dbm = {dbm!r}: the drive power overflows") from exc
     # an FM scan solves the medium at every detuning point + n * omega_m
     samples = scan_opts.detuning_points() * (2 * values.get(("fm", "n_max"), FmConfig.n_max) + 1)
     if samples > MAX_GRID_POINTS:

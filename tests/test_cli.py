@@ -167,7 +167,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key_line, message", [
         ("n_max = 2", "sideband truncation keeps"),
         ("beta = 1e308", "sideband truncation keeps"),
-        ("drive_dbm = 1e308", "OverflowError"),
+        ("drive_dbm = 1e308", "[fm] drive_dbm = 1e+308"),
     ])
     def test_scenario_that_fails_to_load_is_a_config_error(self, key_line, message, tmp_path,
                                                            capsys):
@@ -651,7 +651,10 @@ class TestBadFieldsThroughCli:
          "error: [scan] e_start must be >= 0, got -0.9\n"),
         ("scan", "[drive]\ne_rf = -1\n", "error: [drive] e_rf = -1.0: omega_rf must be >= 0"),
         ("atcal", "[drive]\ne_rf = 1e308\n", "error: [drive] e_rf = 1e+308: omega_rf must be finite"),
-    ], ids=["scan-e_start", "atcal-e_start", "negative-e_rf", "huge-e_rf"])
+        ("scan", "[fm]\ndrive_dbm = 1e308\n", "error: [fm] drive_dbm = 1e+308: the drive power overflows\n"),
+        ("scan", "[fm]\ndrive_dbm = 3500\n", "error: [fm] drive_dbm = 3500.0: the drive power overflows\n"),
+    ], ids=["scan-e_start", "atcal-e_start", "negative-e_rf", "huge-e_rf", "huge-drive_dbm",
+            "overflowing-drive_dbm"])
     def test_bad_rf_field_names_its_key(self, subcommand, text, start, tmp_path, capsys):
         rc, err = self.run(text, [subcommand], tmp_path, capsys)
         assert rc == EXIT_CONFIG

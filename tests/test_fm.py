@@ -630,11 +630,44 @@ class TestRamParams:
 
 
 class TestApplyRam:
-    def test_null_leaves_set_unchanged(self):
+    def test_null_leaves_set_unchanged(self, monkeypatch):
+        # at the RAM null the depth is 0 whatever J_1 is, so it is never evaluated
+        def no_bessel(p, n):
+            raise AssertionError("the RAM amplitude was evaluated at the null")
+
+        monkeypatch.setattr(fm, "_ram_amplitude", no_bessel)
+        sb = SidebandSet(orders=np.arange(-8, 9), amps=[sidebands(b, 8).amps for b in (0.3, 0.7)],
+                         omega_m=OMEGA_M)
+        nulls = [RamParams(dphi_n=d, dphi_dc=-d) for d in (0.0, 0.4, -0.4, 3.0, -3.0)]
+        nulls += [RamParams(dphi_n=0.3, **{field: 0.0}) for field in ("alpha", "beta_angle", "e0_sq")]
+        for p in nulls:
+            out = apply_ram(sb, p)
+            assert out.amps is not sb.amps and out.orders is not sb.orders
+            assert out.amps.tobytes() == sb.amps.tobytes() and out.orders.tobytes() == sb.orders.tobytes()
+            assert out.omega_m == sb.omega_m
+
+    def test_near_null_applies_the_exact_depth(self, monkeypatch):
+        # sin(pi) is 1.2e-16, not 0: no tolerance may round this onto the null
+        p = RamParams(dphi_n=math.pi)
+        assert math.sin(p.dphi_n + p.dphi_dc) != 0.0
+        depth = ram_mod_depth(p)
+        assert depth != 0.0
+        amplitude, calls = fm._ram_amplitude, []
+
+        def counted(p, n):
+            calls.append(n)
+            return amplitude(p, n)
+
+        monkeypatch.setattr(fm, "_ram_amplitude", counted)
         sb = sidebands(0.7, 8, omega_m=OMEGA_M)
-        p = RamParams(dphi_n=0.4, dphi_dc=-0.4)
         out = apply_ram(sb, p)
-        assert np.array_equal(out.amps, sb.amps)
+        assert calls == [1]
+        kick = depth / 4j
+        expected = sb.amps.copy()
+        expected[1:] += kick * sb.amps[:-1]
+        expected[:-1] -= kick * sb.amps[1:]
+        assert out.amps.tobytes() == expected.tobytes()
+        assert out.amps.tobytes() != sb.amps.tobytes()
 
     def test_transparent_medium_reproduces_photocurrent(self):
         p = RamParams(alpha=0.05, beta_angle=0.05, m_diff=0.1, dphi_n=0.3)

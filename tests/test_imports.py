@@ -12,10 +12,15 @@ ROOT = Path(__file__).resolve().parents[1]
 # needs them at import time
 HEAVY = ("scipy.signal", "scipy.optimize", "scipy.stats")
 # loaded only by the residual-AM amplitude (`servo`, or `fmscan` with
-# apply_ram), which keeps scipy's J_n: importing, loading a scenario, `noise`,
-# `allan` and the warm and FM paths never need it
+# apply_ram off the RAM null), which keeps scipy's J_n: importing, loading a
+# scenario, `noise`, `allan`, the warm and FM paths, cold `atcal` and `fmscan`
+# with apply_ram at the null (the benchmark's doppler_free config) never need it
 DEFERRED = ("scipy.special",)
 WARM_FM = ("scan", "fmscan", "matched", "sensitivity")
+# cold runs: the shipped AT calibration and an fmscan with apply_ram = true at
+# dphi_n = dphi_dc = 0, read from the benchmark's scenarios
+COLD = (("atcal", "configs/at_calibration.cfg"),
+        ("fmscan", "perfbench/scenarios/full/doppler_free/fmscan.cfg"))
 
 PROBE = f"""
 import json, sys
@@ -43,6 +48,7 @@ for sub in ("noise", "allan"):
 tiny = root / "perfbench" / "scenarios" / "tiny" / "warm_cell"
 runs = [(sub, tiny / f"{{sub}}.cfg") for sub in {WARM_FM!r}]
 runs += [(sub, root / "configs" / "default.cfg") for sub in {WARM_FM!r}]
+runs += [(sub, root / rel) for sub, rel in {COLD!r}]
 for sub, path in runs:
     stage = f"rydfm {{sub}} {{path.relative_to(root).as_posix()}}"
     exits[stage] = rydfm.cli.main([sub, "--config", str(path), "--out", out])
@@ -68,15 +74,19 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     loads = [s for s in stages if s.startswith("load_scenario ")]
     assert len(loads) == 3 + 8  # the shipped configs and perfbench/scenarios/full
     assert "load_scenario configs/default.cfg" in loads
-    warm = [s for s in stages if s.startswith(tuple(f"rydfm {sub} " for sub in WARM_FM))]
+    cold = [f"rydfm {sub} {rel}" for sub, rel in COLD]
+    warm = [s for s in stages if s.startswith(tuple(f"rydfm {sub} " for sub in WARM_FM))
+            and s not in cold]
     assert len(warm) == 2 * 4  # on perfbench/scenarios/tiny/warm_cell and on default.cfg
     assert {"rydfm matched perfbench/scenarios/tiny/warm_cell/matched.cfg",
             "rydfm sensitivity configs/default.cfg"} <= set(warm)
-    assert list(stages)[-1] == "rydfm servo"
-    assert list(stages)[-len(warm) - 3:-len(warm) - 1] == ["rydfm noise", "rydfm allan"]
+    assert list(stages)[-len(cold) - 1:] == [*cold, "rydfm servo"]
+    assert list(stages)[-len(warm) - len(cold) - 3:-len(warm) - len(cold) - 1] == [
+        "rydfm noise", "rydfm allan"]
     # the RAM amplitude of `servo` is the one user of scipy.special
     assert {stage: loaded for stage, loaded in stages.items() if loaded} == {
         "rydfm servo": list(DEFERRED)}
-    assert set(report["exits"].values()) == {0} and len(report["exits"]) == 2 + len(warm) + 1
+    assert set(report["exits"].values()) == {0}
+    assert len(report["exits"]) == 2 + len(warm) + len(cold) + 1
     names = {p.name for p in tmp_path.iterdir()}
-    assert {f"manifest_{sub}.txt" for sub in ("noise", "allan", *WARM_FM, "servo")} <= names
+    assert {f"manifest_{sub}.txt" for sub in ("noise", "allan", *WARM_FM, "atcal", "servo")} <= names
