@@ -33,65 +33,40 @@ V_PI = 3.5  # V, a placeholder half-wave voltage typical of waveguide modulators
 IMPEDANCE = 50.0  # ohm, the modulator's RF input
 
 
-# Past this |beta| with every wanted order below it, J_0 and J_1 come from
-# Hankel's expansion, whose 8 terms leave under 1e-18 relative there
-_HANKEL_X = 1000.0
-
-
-def _hankel01(x: float) -> tuple[float, float]:
-    """J_0(x) and J_1(x) by Hankel's expansion (DLMF 10.17.3), for x >= _HANKEL_X.
-
-    J_nu = sqrt(2 / (pi x)) Re(exp(i omega) sum_k i^k a_k(nu) / x^k) with
-    omega = x - nu pi / 2 - pi / 4, taken from cos x and sin x so that the
-    rounding of x - pi / 4 cannot enter at large x.
-    """
-    rotation = complex(math.cos(x), math.sin(x)) * complex(1.0, -1.0) / math.sqrt(2.0)
-    out = []
-    for mu in (0.0, 4.0):  # 4 nu^2
-        series, term = 0j, 1.0
-        for k in range(8):
-            series += term * (1, 1j, -1, -1j)[k % 4]
-            term *= (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1) * x)
-        out.append(math.sqrt(2.0 / math.pi) / math.sqrt(x) * (rotation * series).real)
-        rotation *= -1j  # omega of J_1 is pi / 2 behind
-    return out[0], out[1]
+# Work bound: below |beta| the recurrence takes O(|beta|) steps, and fewer
+# than |beta| orders fail the truncation check anyway
+_RECURRENCE_X = 1000.0
 
 
 def _bessel_j(beta: float, n_max: int) -> np.ndarray:
-    """J_n(beta) for n = -n_max..n_max (all NaN for a non-finite beta).
+    """J_n(beta) for n = -n_max..n_max, all NaN unless |beta| <= max(n_max, _RECURRENCE_X).
 
     With x = |beta|, J_k > 0 for every order k >= x, so there the ratios
     J_k / J_(k-1) = x / (2 k - x J_(k+1) / J_k) run down from past the
     turning point (continued fraction) and give each order to full relative
     accuracy; below ceil(x) the recurrence J_(k-1) = (2 k / x) J_k - J_(k+1)
-    runs down, and J_0 + 2 sum_k J_2k = 1 normalizes (Miller).  Past
-    _HANKEL_X with n_max < x the recurrence runs up from Hankel's J_0 and
-    J_1 instead, stable below x, so the work is O(n_max) at any finite beta.
-    J_n(-x) = J_(-n)(x) = (-1)^n J_n(x).
+    runs down, and J_0 + 2 sum_k J_2k = 1 normalizes (Miller).  Past the
+    bound, the orders from ceil(x) on carry over 1e-9 of the power, so no set
+    of fewer orders passes the truncation check of `sidebands`, which rejects
+    the NaN as it does that of a NaN or infinite beta.  J_n(-x) = J_(-n)(x) = (-1)^n J_n(x).
     """
     x = abs(beta)
-    if not math.isfinite(x):
+    if not x <= max(n_max, _RECURRENCE_X):
         return np.full(2 * n_max + 1, math.nan)
-    if x > _HANKEL_X and n_max < x:
-        j = list(_hankel01(x))
-        for k in range(1, n_max):
-            j.append(2 * k / x * j[k] - j[k - 1])
-        j = np.array(j[: n_max + 1])
-    else:
-        top = math.ceil(x)
-        ratios, r = [], 0.0
-        for k in range(max(n_max, top) + 4 + math.ceil(12 * x ** (1 / 3)), top, -1):
-            r = x / (2 * k - x * r)
-            ratios.append(r)
-        # scaled f_top, f_(top - 1), ..., f_0: f_top = x below x = 1, so 2 k f_k / x
-        # cannot overflow, and the product by the first ratio is f_(top + 1)
-        down = [x if 0 < x < 1 else 1.0]
-        after = down[0] * r
-        for k in range(top, 0, -1):
-            down.append(2 * k * down[-1] / x - after)
-            after = down[-2]
-        f = np.concatenate([down[::-1], down[0] * np.cumprod(ratios[::-1])])
-        j = f[: n_max + 1] / (f[0] + 2.0 * np.sum(f[2::2]))
+    top = math.ceil(x)
+    ratios, r = [], 0.0
+    for k in range(max(n_max, top) + 4 + math.ceil(12 * x ** (1 / 3)), top, -1):
+        r = x / (2 * k - x * r)
+        ratios.append(r)
+    # scaled f_top, f_(top - 1), ..., f_0: f_top = x below x = 1, so 2 k f_k / x
+    # cannot overflow, and the product by the first ratio is f_(top + 1)
+    down = [x if 0 < x < 1 else 1.0]
+    after = down[0] * r
+    for k in range(top, 0, -1):
+        down.append(2 * k * down[-1] / x - after)
+        after = down[-2]
+    f = np.concatenate([down[::-1], down[0] * np.cumprod(ratios[::-1])])
+    j = f[: n_max + 1] / (f[0] + 2.0 * np.sum(f[2::2]))
     odd = np.arange(n_max + 1) % 2 == 1
     if beta < 0:
         j = np.where(odd, -j, j)

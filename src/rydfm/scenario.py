@@ -17,15 +17,15 @@ import numpy as np
 
 from . import pipelines
 from .analysis import DetectorModel
-from .errors import InvariantViolation, ParseError, UnknownKeyError, require
+from .errors import InvariantViolation, ParseError, TruncationError, UnknownKeyError, require
 from .fm import FmConfig, RamParams, index_from_dbm
 from .noise import NoiseBudget
 from .quantum import FieldDrive, LadderSystem
 from .servo import PidGains
 
 _TWO_PI = 2 * math.pi
-# Largest probe or field grid, FM medium-sample count (detuning points x
-# sideband orders) or servo step count a scenario may request (bounds work).
+# Largest probe or field grid, FM medium-sample or atcal point count (detuning points x
+# sideband orders or field points) or servo step count a scenario may request (bounds work).
 MAX_GRID_POINTS = 10 ** 6
 MAX_NOISE_SAMPLES = 2 ** 24  # largest noise series: 128 MiB of float64
 
@@ -96,6 +96,9 @@ class NoiseOpts:
             raise InvariantViolation(f"noise kind must be one of {valid}")
         if not (2 <= self.n_samples <= MAX_NOISE_SAMPLES):
             raise InvariantViolation(f"n_samples must lie in [2, {MAX_NOISE_SAMPLES}]")
+        if self.kind != "shot" and self.n_samples & (self.n_samples - 1):  # FFT shaping
+            raise InvariantViolation(
+                f"n_samples must be a power of two unless kind = shot, got {self.n_samples}")
         require(self, positive=("dt",), nonnegative=("coefficient", "shot_current_a", "seed"))
 
 
@@ -121,10 +124,13 @@ class ScanOpts:
             if not getattr(self, stop) > getattr(self, start):
                 raise InvariantViolation(f"{stop} must exceed {start}")
         self.detuning_points()
-        _grid_points(self.e_start, self.e_stop, self.e_step, "field")
+        self.field_points()
 
     def detuning_points(self) -> int:
         return _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
+
+    def field_points(self) -> int:
+        return _grid_points(self.e_start, self.e_stop, self.e_step, "field")
 
     def detuning_grid_hz(self) -> np.ndarray:
         return self.start_hz + self.step_hz * np.arange(self.detuning_points())
@@ -133,8 +139,7 @@ class ScanOpts:
         return _TWO_PI * self.detuning_grid_hz()
 
     def field_grid(self) -> np.ndarray:
-        n = _grid_points(self.e_start, self.e_stop, self.e_step, "field")
-        return self.e_start + self.e_step * np.arange(n)
+        return self.e_start + self.e_step * np.arange(self.field_points())
 
 
 @dataclass
@@ -281,6 +286,9 @@ def parse_scenario(text: str) -> Scenario:
             raise InvariantViolation(f"[drive] e_rf = {values[('drive', 'e_rf')]!r}: {exc}") from exc
 
     scan_opts = build("scan")
+    points = scan_opts.detuning_points() * scan_opts.field_points()
+    if points > MAX_GRID_POINTS:  # atcal solves every field at every detuning point
+        raise InvariantViolation(f"[scan] {points} atcal operating points; the limit is {MAX_GRID_POINTS}")
 
     fm_extra = {}
     if ("fm", "drive_dbm") in values:
@@ -295,7 +303,10 @@ def parse_scenario(text: str) -> Scenario:
     samples = scan_opts.detuning_points() * (2 * values.get(("fm", "n_max"), FmConfig.n_max) + 1)
     if samples > MAX_GRID_POINTS:
         raise InvariantViolation(f"[fm] {samples} FM medium points; the limit is {MAX_GRID_POINTS}")
-    fm_cfg = build("fm", **fm_extra)
+    try:
+        fm_cfg = build("fm", **fm_extra)
+    except TruncationError as exc:  # a beta from drive_dbm is named by the key the file set
+        raise TruncationError(f"[fm] drive_dbm = {dbm!r}: {exc}") if fm_extra else exc
 
     ram = build("ram")
     gains = build("gains", kp=_DEFAULT_KP, ki=_DEFAULT_KI)

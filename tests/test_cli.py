@@ -151,7 +151,8 @@ class TestExitCodes:
         for subcommand in ("noise", "allan"):
             rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
             assert rc == EXIT_CONFIG
-            assert "n must be a power of two" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                "error: [noise] n_samples must be a power of two unless kind = shot, got 1000\n")
 
     def test_servo_steps_capped_before_any_array(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -653,12 +654,46 @@ class TestBadFieldsThroughCli:
         ("atcal", "[drive]\ne_rf = 1e308\n", "error: [drive] e_rf = 1e+308: omega_rf must be finite"),
         ("scan", "[fm]\ndrive_dbm = 1e308\n", "error: [fm] drive_dbm = 1e+308: the drive power overflows\n"),
         ("scan", "[fm]\ndrive_dbm = 3500\n", "error: [fm] drive_dbm = 3500.0: the drive power overflows\n"),
+        ("scan", "[fm]\ndrive_dbm = 3082\n",
+         "error: [fm] drive_dbm = 3082.0: sideband truncation keeps nan of the power at n_max = 8, "
+         "beta = 3.5734016067207704e+153\n"),
+        ("scan", "[fm]\nbeta = 2000\nn_max = 1990\n",
+         "error: sideband truncation keeps nan of the power at n_max = 1990, beta = 2000.0\n"),
     ], ids=["scan-e_start", "atcal-e_start", "negative-e_rf", "huge-e_rf", "huge-drive_dbm",
-            "overflowing-drive_dbm"])
+            "overflowing-drive_dbm", "truncating-drive_dbm", "truncating-beta"])
     def test_bad_rf_field_names_its_key(self, subcommand, text, start, tmp_path, capsys):
         rc, err = self.run(text, [subcommand], tmp_path, capsys)
         assert rc == EXIT_CONFIG
         assert err.startswith(start) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["noise", "allan"])
+    def test_noise_samples_not_a_power_of_two(self, subcommand, tmp_path, capsys):
+        text = COLD_BASE.replace("n_samples = 8192", "n_samples = 1000")
+        rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (
+            EXIT_CONFIG, "error: [noise] n_samples must be a power of two unless kind = shot, got 1000\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_shot_noise_takes_any_sample_count(self, tmp_path, capsys):
+        text = (COLD_BASE.replace("kind = white_fm", "kind = shot\nshot_current_a = 1e-3")
+                .replace("n_samples = 8192", "n_samples = 1000"))
+        rc, err = self.run(text, ["noise"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        assert np.loadtxt(tmp_path / "o" / "timeseries.csv", delimiter=",").shape == (1000, 2)
+
+    def test_atcal_points_capped(self, tmp_path, capsys, monkeypatch):
+        # 58,334 detunings x 999,999 fields: each grid is under the cap
+        def no_run(*args, **kwargs):
+            raise AssertionError("atcal ran")
+
+        monkeypatch.setattr(cli.pipelines, "at_calibration", no_run)
+        text = (COLD_BASE.replace("step_hz = 0.5e6", "step_hz = 1.2e3")
+                .replace("start_hz = -10e6", "start_hz = -35e6").replace("stop_hz = 10e6", "stop_hz = 35e6")
+                .replace("e_start = 0.9", "e_start = 0").replace("e_stop = 1.8", "e_stop = 9.99998")
+                .replace("e_step = 0.9", "e_step = 1e-5"))
+        rc, err = self.run(text, ["atcal"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [scan] 58333941666 atcal operating points; the limit is 1000000\n")
         assert not (tmp_path / "o").exists()
 
     def test_kernel_span_overflowing_the_step(self, tmp_path, capsys):

@@ -144,9 +144,25 @@ class TestBesselKernel:
         assert np.count_nonzero(no_zero & (np.abs(ref) < 1e-200)) > 100
         assert np.max(np.abs(got - ref)[no_zero] / np.abs(ref[no_zero])) <= 1e-12
 
-    @pytest.mark.parametrize("beta", [1e3, 2.5e4, 1e6, -1e8, 1e15])
-    def test_matches_jv_past_the_hankel_switch(self, beta):
+    @pytest.mark.parametrize("beta", [1000.0, -1000.0])
+    def test_matches_jv_at_the_work_bound(self, beta):
+        # the largest |beta| the recurrence takes with fewer orders than |beta|
         assert np.max(np.abs(fm._bessel_j(beta, self.N) - jv(self.ORDERS, beta))) <= 2e-15
+        assert np.all(np.isnan(fm._bessel_j(np.nextafter(beta, 2 * beta), self.N)))
+
+    @pytest.mark.parametrize("beta", [2000.5, -2000.5])
+    def test_matches_jv_past_the_work_bound_within_n_max(self, beta):
+        # 1000 < |beta| <= n_max still runs the recurrence.  Orders up to 40 and
+        # from |beta| - 1 on are held to 2e-15; in between, scipy's jv is itself
+        # off by up to 2.9e-14 here (against 40-digit mpmath, where the kernel
+        # is within 1.2e-16), so those orders get jv's own accuracy
+        n_max = 2200
+        orders = np.arange(-n_max, n_max + 1)
+        err = np.abs(fm._bessel_j(beta, n_max) - jv(orders, beta))
+        sharp = (np.abs(orders) <= self.N) | (np.abs(orders) >= abs(beta) - 1)
+        assert np.max(err[sharp]) <= 2e-15
+        assert np.max(err) <= 5e-14
+        sidebands(beta, n_max)  # keeps the power, so the set is accepted
 
     def test_zero_index_is_the_carrier_alone(self):
         assert np.array_equal(fm._bessel_j(0.0, self.N), (self.ORDERS == 0).astype(float))
@@ -156,6 +172,9 @@ class TestBesselKernel:
         sign = np.where(np.arange(1, self.N + 1) % 2, -1.0, 1.0)
         for beta in [0.0, *self.BETAS, 2e3, 1e308]:
             j = fm._bessel_j(beta, self.N)
+            if abs(beta) > 1000:  # past max(n_max, 1000): all NaN, which sidebands rejects
+                assert np.all(np.isnan(j))
+                continue
             assert np.all(np.isfinite(j))
             assert np.array_equal(bits(j[: self.N][::-1]), bits(sign * j[self.N + 1:]))
             if beta:
@@ -174,7 +193,17 @@ class TestBesselKernel:
 
     @pytest.mark.parametrize("beta", [1e308, -1e308, 5e-324])
     def test_extreme_finite_index_is_finite(self, beta):
-        assert np.all(np.isfinite(fm._bessel_j(beta, 1000)))
+        # finite wherever the recurrence runs, all NaN past max(n_max, 1000)
+        j = fm._bessel_j(beta, 1000)
+        assert np.all(np.isnan(j)) if abs(beta) > 1000 else np.all(np.isfinite(j))
+
+    @pytest.mark.parametrize("beta", [1e308, -1e308, 1e300, math.nan, math.inf, 1000.5])
+    def test_past_the_work_bound_gives_nan(self, beta):
+        assert np.all(np.isnan(fm._bessel_j(beta, 8)))
+        with pytest.raises(TruncationError, match="keeps nan"):
+            sidebands(beta, 8)
+        with pytest.raises(TruncationError, match="keeps nan"):
+            FmConfig(beta=beta)
 
 
 def closure_crossing(n_max: int) -> float:
@@ -245,6 +274,17 @@ class TestTruncationCheck:
                     assert message is not None, beta
                     oracle_checked += 1
         assert oracle_checked >= 40
+
+    def test_fewer_orders_than_beta_fail(self):
+        # the soundness of NaN past max(n_max, 1000), from jv alone: with
+        # n_max = ceil(|beta|) - 1, order ceil(|beta|) by itself drops more
+        # than the tolerance.  J_nu(nu) ~ 0.447 nu^(-1/3), so that one order
+        # falls below 1e-9 near |beta| ~ 8e12, but the ~|beta|^(1/3) orders
+        # of the turning region drop a tail that falls only as |beta|^(-1/3)
+        # and stays above 1e-9 to |beta| ~ 5e24, where 2 n_max + 1 orders
+        # cannot be allocated.  J_n(-x)^2 = J_n(x)^2, so |beta| covers both signs
+        for beta in np.geomspace(1e3, 1e12, 37):
+            assert 2 * jv(math.ceil(beta), beta) ** 2 > BESSEL_CLOSURE_TOL, beta
 
     @pytest.mark.parametrize("beta", [1000.0, 1990.0, 2003.0, 2100.0])
     def test_large_orders_near_the_ratio_limit(self, beta):

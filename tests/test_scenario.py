@@ -251,6 +251,24 @@ class TestGridBounds:
         scn = parse_scenario(f"[noise]\nn_samples = {MAX_NOISE_SAMPLES}\n")
         assert scn.noise.n_samples == MAX_NOISE_SAMPLES == 2 ** 24
 
+    @pytest.mark.parametrize("kind", ["white_pm", "flicker_pm", "white_fm", "rw_fm", "composite"])
+    def test_shaped_noise_samples_must_be_a_power_of_two(self, kind):
+        with pytest.raises(InvariantViolation, match=r"\[noise\] n_samples must be a power of two"):
+            parse_scenario(f"[noise]\nkind = {kind}\nn_samples = {2 ** 20 + 1}\n")
+        assert parse_scenario(f"[noise]\nkind = shot\nn_samples = {2 ** 20 + 1}\n").noise.n_samples == 2 ** 20 + 1
+
+    def test_atcal_points_at_the_cap_allowed(self):
+        scn = parse_scenario("[scan]\nstart_hz = 0\nstop_hz = 999\nstep_hz = 1\n"
+                             "e_start = 0\ne_stop = 999\ne_step = 1\n")
+        assert scn.scan.detuning_points() * scn.scan.field_grid().size == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("e_stop", ["1000", "9.99998e5"])
+    def test_atcal_points_above_the_cap_rejected(self, e_stop):
+        # each grid is under the cap, their product is not
+        with pytest.raises(InvariantViolation, match=r"^\[scan\] \d+ atcal operating points; the limit is 1000000$"):
+            parse_scenario(f"[scan]\nstart_hz = 0\nstop_hz = 999\nstep_hz = 1\n"
+                           f"e_start = 0\ne_stop = {e_stop}\ne_step = 1\n")
+
     @pytest.mark.parametrize("n_samples", [MAX_NOISE_SAMPLES + 1, 2 ** 43, 1])
     def test_noise_samples_outside_the_range_rejected(self, n_samples):
         with pytest.raises(InvariantViolation, match=r"\[noise\] n_samples"):
