@@ -96,9 +96,13 @@ def _shaped_sum(components, n: int, dt: float, seed: int) -> np.ndarray:
     shaping = np.zeros_like(freqs)
     for kind, coefficient in components:
         if coefficient > 0:
+            with np.errstate(all="ignore"):  # an overflowing shape is raised below
+                shaping[1:] = np.sqrt(coefficient * freqs[1:] ** SPECTRAL_SLOPES[kind] * fs / 2.0)
+            if not np.all(np.isfinite(shaping)):
+                raise InvariantViolation(f"coefficient {kind} = {coefficient!r} shapes non-finite "
+                                         f"samples at dt = {dt!r}")
             _rng_for(seed, kind).standard_normal(out=buf)
             np.fft.rfft(buf, out=spectrum)
-            shaping[1:] = np.sqrt(coefficient * freqs[1:] ** SPECTRAL_SLOPES[kind] * fs / 2.0)
             spectrum *= shaping
             np.fft.irfft(spectrum, n, out=buf)
             total += buf

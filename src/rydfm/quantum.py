@@ -23,6 +23,10 @@ pair i < j (rho_ij + rho_ji)/sqrt2 and i(rho_ij - rho_ji)/sqrt2: in this
 basis U a Lindblad L is the real R = U^H L U.  Detunings and velocity add a
 2x2 rotation per coherence pair they move (6 coordinates for delta_p or
 delta_rf, 10 for v), and every solve and `eig` is real.
+
+Inside the kernel inf and NaN propagate silently: `steady_state`, `doppler_average` and
+`susceptibility_batch` each ignore numpy's floating-point warnings once, and the residual
+check, the self-checks (NaN fails) and the finite-chi check raise the one error.
 """
 from __future__ import annotations
 
@@ -256,8 +260,7 @@ def _trace_solve(gen: np.ndarray, unit_cols=()) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"steady-state system is singular: {exc}") from exc
     sol[..., 1:] /= scale
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual fails the check below
-        residual = float(np.max(np.linalg.norm((gen @ sol[..., :1]) / scale, axis=-2)))
+    residual = float(np.max(np.linalg.norm((gen @ sol[..., :1]) / scale, axis=-2)))
     if not (residual <= 1e-10):
         raise SingularSystemError(
             f"steady-state residual {residual:.3e} exceeds 1e-10; "
@@ -269,13 +272,11 @@ def _trace_solve(gen: np.ndarray, unit_cols=()) -> np.ndarray:
 def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
     """Solve L rho = 0 (as R = U^H L U) with the trace constraint replacing one redundant row.
 
-    Raises
-    ------
-    SingularSystemError
-        If the system is degenerate (e.g. all rates zero) or the residual
-        of the normalized system exceeds 1e-10.
+    Raises `SingularSystemError` if the system is degenerate (e.g. all rates
+    zero) or the residual of the normalized system exceeds 1e-10.
     """
-    y = _trace_solve(_real(np.asarray(liouvillian, dtype=complex)))[:, 0]
+    with np.errstate(all="ignore"):
+        y = _trace_solve(_real(np.asarray(liouvillian, dtype=complex)))[:, 0]
     return DensityMatrix((_U @ y).reshape(4, 4))
 
 
@@ -353,13 +354,11 @@ def _mean_pole_term(lam: np.ndarray, sigma: float) -> np.ndarray:
     real-line integral: Z = i s sqrt(pi) w(s zeta) with s = sign(Im zeta)
     and w the Faddeeva function.
     """
-    # lam = 0 (huge fields) gives inf or NaN quietly; susceptibility_batch rejects it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = -1.0 / lam
-        zeta = z / (math.sqrt(2.0) * sigma)
-        s = np.where(zeta.imag >= 0, 1.0, -1.0)
-        plasma = 1j * s * math.sqrt(math.pi) * _faddeeva(s * zeta)
-        return -z * (1.0 + zeta * plasma)
+    z = -1.0 / lam
+    zeta = z / (math.sqrt(2.0) * sigma)
+    s = np.where(zeta.imag >= 0, 1.0, -1.0)
+    plasma = 1j * s * math.sqrt(math.pi) * _faddeeva(s * zeta)
+    return -z * (1.0 + zeta * plasma)
 
 
 def _pole_form(gen: np.ndarray, direction: np.ndarray):
@@ -374,8 +373,7 @@ def _pole_form(gen: np.ndarray, direction: np.ndarray):
     x0, inv_cols, d_p = sol[..., 0], sol[..., 1:], direction[np.ix_(moving, moving)]
     poles, vecs = np.linalg.eig(d_p @ inv_cols[..., moving, :])
     weights = np.linalg.solve(vecs, d_p @ x0[..., moving, None])[..., 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # near-singular A0: NaN fails the self-check
-        alpha = ((inv_cols.swapaxes(-1, -2) @ _RHO21)[..., None, :] @ vecs)[..., 0, :] * weights
+    alpha = ((inv_cols.swapaxes(-1, -2) @ _RHO21)[..., None, :] @ vecs)[..., 0, :] * weights
     return x0 @ _RHO21, alpha, poles, vecs
 
 
@@ -391,8 +389,7 @@ def _self_check(rational, direct, delta_p, delta_rf, vecs, expansion: str) -> No
     ok = mismatch <= SELF_CHECK_TOL * scale
     if np.all(ok):
         return
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(ok, 0.0, np.nan_to_num(mismatch / scale, nan=np.inf))
+    rel = np.where(ok, 0.0, np.nan_to_num(mismatch / scale, nan=np.inf))
     worst = int(np.argmax(rel))
     p_hz, rf_hz = delta_p[worst] / (2 * math.pi), delta_rf[worst] / (2 * math.pi)
     raise NonConvergenceError(
@@ -476,12 +473,11 @@ def _cold_rho21(base: np.ndarray, points: np.ndarray) -> np.ndarray:
             ref = idx[idx.size // 2]
             c0, alpha, poles, vecs = _pole_form(_detuned(base, points[:, ref]), direction)
             x = along[idx] - along[ref]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # inf or NaN fails the check
-                beta = np.divide(alpha, poles, out=np.zeros_like(alpha), where=poles != 0)
-                r_inf = 0.0 if direction is _GENERATORS[0] and np.all(poles != 0) else c0 - beta.sum()
-                # one pole at a time, so the work arrays stay the size of the group;
-                # the reference point keeps its own solve
-                rational = r_inf + sum(b / (1.0 + lam * x) for b, lam in zip(beta, poles))
+            beta = np.divide(alpha, poles, out=np.zeros_like(alpha), where=poles != 0)
+            r_inf = 0.0 if direction is _GENERATORS[0] and np.all(poles != 0) else c0 - beta.sum()
+            # one pole at a time, so the work arrays stay the size of the group;
+            # the reference point keeps its own solve
+            rational = r_inf + sum(b / (1.0 + lam * x) for b, lam in zip(beta, poles))
             out[idx] = rational = np.where(x == 0, c0, rational)
             check = np.r_[np.arange(0, idx.size, CHUNK), idx.size - 1, np.argmax(np.abs(rational))]
             checks.append((idx[np.unique(check)], vecs))
@@ -499,7 +495,8 @@ def doppler_average(sys: LadderSystem, drive: FieldDrive) -> complex:
     A size-1 call of the batched kernel; see `_warm_rho21` for the
     velocity-pole expansion and its self-check.
     """
-    return complex(_mean_rho21(sys, drive, drive.delta_p, drive.delta_rf))
+    with np.errstate(all="ignore"):
+        return complex(_mean_rho21(sys, drive, drive.delta_p, drive.delta_rf))
 
 
 def susceptibility_batch(
@@ -517,8 +514,9 @@ def susceptibility_batch(
         raise InvariantViolation("susceptibility requires omega_p > 0")
     if not abs(sys.mu12) <= math.sqrt(np.finfo(float).max):  # else mu12 ** 2 overflows
         raise DomainError(f"mu12 = {sys.mu12:g} C m is too large: its square overflows")
-    rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf, omega_rf)
-    chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
+    with np.errstate(all="ignore"):
+        rho21 = _mean_rho21(sys, drive, delta_p, drive.delta_rf if delta_rf is None else delta_rf, omega_rf)
+        chi = 2 * sys.n_atoms * sys.mu12 ** 2 * rho21 / (EPS0 * HBAR * drive.omega_p)
     if not np.all(np.isfinite(chi)):
         raise NonConvergenceError(f"susceptibility is not finite at {np.sum(~np.isfinite(chi))} "
                                   f"of {chi.size} operating points")

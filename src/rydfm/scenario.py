@@ -100,6 +100,9 @@ class NoiseOpts:
             raise InvariantViolation(
                 f"n_samples must be a power of two unless kind = shot, got {self.n_samples}")
         require(self, positive=("dt",), nonnegative=("coefficient", "shot_current_a", "seed"))
+        if not math.isfinite((self.n_samples - 1) * self.dt):
+            raise InvariantViolation(f"dt = {self.dt!r}: the last sample time (n_samples - 1) * dt "
+                                     f"overflows at n_samples = {self.n_samples}")
 
 
 @dataclass
@@ -125,6 +128,9 @@ class ScanOpts:
                 raise InvariantViolation(f"{stop} must exceed {start}")
         self.detuning_points()
         self.field_points()
+        for end in ("start_hz", "stop_hz"):  # the grid runs in rad/s
+            if not math.isfinite(_TWO_PI * getattr(self, end)):
+                raise InvariantViolation(f"{end} = {getattr(self, end)!r} overflows in rad/s")
 
     def detuning_points(self) -> int:
         return _grid_points(self.start_hz, self.stop_hz, self.step_hz, "detuning")
@@ -307,6 +313,11 @@ def parse_scenario(text: str) -> Scenario:
         fm_cfg = build("fm", **fm_extra)
     except TruncationError as exc:  # a beta from drive_dbm is named by the key the file set
         raise TruncationError(f"[fm] drive_dbm = {dbm!r}: {exc}") if fm_extra else exc
+    # sidebands reach n_max * omega_m past the probe carrier or any scan carrier
+    carrier = max(abs(drive.delta_p), _TWO_PI * abs(scan_opts.start_hz), _TWO_PI * abs(scan_opts.stop_hz))
+    if not math.isfinite(fm_cfg.n_max * fm_cfg.omega_m + carrier):
+        raise InvariantViolation(f"[fm] omega_m = {fm_cfg.omega_m!r}: the sideband detunings "
+                                 f"n_max * omega_m past a carrier overflow at n_max = {fm_cfg.n_max}")
 
     ram = build("ram")
     gains = build("gains", kp=_DEFAULT_KP, ki=_DEFAULT_KI)

@@ -52,7 +52,7 @@ class MediumSpectrum:
         phase shift is k_p L Re chi / 2 over the cell length L.
         """
         half_optical = 0.5 * sys.k_probe * sys.cell_length
-        with np.errstate(over="ignore"):  # an infinite t fails the 0 < t <= 1 check
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite or NaN t or phase fails a check
             return cls(grid=grid, chi=chi, amp_transmission=np.exp(-half_optical * chi.imag),
                        phase=half_optical * chi.real)
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -265,6 +266,10 @@ def with_key(text, section, key, value):
     return "\n".join(lines + [f"[{section}]", f"{key} = {value}"]) + "\n"
 
 
+# (section, key, value) settings that keep a run of any subcommand small
+SMALL_RUN = [("scan", "step_hz", "5e6"), ("noise", "n_samples", "1024"), ("ram", "duration_s", "0.512")]
+
+
 class TestConfigPerturbations:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -282,6 +287,54 @@ class TestConfigPerturbations:
         rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert (rc, err) == (EXIT_OK, "") or (rc == EXIT_CONFIG and err.startswith("error: "))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        config=st.sampled_from(["default.cfg", "servo_demo.cfg", "at_calibration.cfg"]),
+        subcommand=st.sampled_from(cli.SUBCOMMANDS),
+        section_key=st.sampled_from(NUMERIC_KEYS),
+        value=st.sampled_from(["0", "-1", "1e308", "5e-324", "1e-300", "nan", "garbage text"]),
+    )
+    def test_one_key_runs_or_fails_in_one_line(self, config, subcommand, section_key, value, tmp_path,
+                                               capsys):
+        # the real runners on small grids, series and servo runs
+        text = (SHIPPED_CONFIGS / config).read_text()
+        for small in SMALL_RUN:
+            text = with_key(text, *small)
+        cfg, out = tmp_path / "perturbed.cfg", tmp_path / "o"
+        cfg.write_text(with_key(text, *section_key, value))
+        shutil.rmtree(out, ignore_errors=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc = main([subcommand, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (rc, err) == (EXIT_OK, "") or (
+            rc in (EXIT_CONFIG, EXIT_NUMERIC) and err.startswith("error: ") and err.count("\n") == 1
+            and not out.exists())
+
+
+class TestKernelSpecials:
+    """Inputs that make the kernel meet inf or NaN end in its one error line."""
+
+    @pytest.mark.parametrize("subcommand", ["scan", "fmscan", "matched", "sensitivity"])
+    @pytest.mark.parametrize("section, key, value, start", [
+        ("system", "lambda_probe", "5e-324", "error: steady-state residual nan exceeds 1e-10"),
+        ("system", "temperature", "1e308", "error: steady-state residual nan exceeds 1e-10"),
+        ("system", "n_atoms", "1e308", "error: susceptibility is not finite at "),
+        ("drive", "omega_p", "1e-300", "error: susceptibility is not finite at "),
+    ], ids=["lambda_probe", "temperature", "n_atoms", "omega_p"])
+    def test_one_error_line(self, section, key, value, start, subcommand, tmp_path, capsys):
+        text = with_key((SHIPPED_CONFIGS / "default.cfg").read_text(), "scan", "step_hz", "5e6")
+        cfg = tmp_path / "special.cfg"
+        cfg.write_text(with_key(text, section, key, value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_NUMERIC
+        assert err.startswith(start) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestOutputs:
@@ -673,6 +726,59 @@ class TestBadFieldsThroughCli:
         rc, err = self.run(text, [subcommand], tmp_path, capsys)
         assert (rc, err) == (
             EXIT_CONFIG, "error: [noise] n_samples must be a power of two unless kind = shot, got 1000\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["noise", "allan"])
+    def test_time_axis_overflowing_dt(self, subcommand, tmp_path, capsys):
+        text = with_key(with_key(COLD_BASE, "noise", "dt", "1e308"), "noise", "n_samples", "1024")
+        rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [noise] dt = 1e+308: the last sample time "
+                                          "(n_samples - 1) * dt overflows at n_samples = 1024\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["noise", "allan"])
+    @pytest.mark.parametrize("text, kind", [
+        ("[noise]\ncoefficient = 1e308\n", "white_fm"),
+        ("[noise]\nkind = composite\nh_white_fm = 1e-22\nh_flicker_pm = 1e308\n", "flicker_pm"),
+    ], ids=["coefficient", "h_flicker_pm"])
+    def test_overflowing_noise_shape_names_its_component(self, text, kind, subcommand, tmp_path,
+                                                         capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, f"error: coefficient {kind} = 1e+308 shapes non-finite "
+                                          "samples at dt = 0.001\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["fmscan", "matched", "sensitivity"])
+    def test_sidebands_overflowing_omega_m(self, subcommand, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run("[fm]\nomega_m = 1e308\n", [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [fm] omega_m = 1e+308: the sideband detunings "
+                                          "n_max * omega_m past a carrier overflow at n_max = 8\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand", ["scan", "fmscan", "atcal"])
+    def test_scan_end_overflowing_in_rad_s(self, subcommand, tmp_path, capsys):
+        text = "[scan]\nstart_hz = -1e308\nstop_hz = -9e307\nstep_hz = 1e303\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [scan] start_hz = -1e+308 overflows in rad/s\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, text, message", [
+        ("servo", "[ram]\nduration_s = 1.0\ndrift_model = random_walk\ndrift_step_std = 1e308\n",
+         "error: drift samples must be finite\n"),
+        ("scan", COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\ncell_length = 1e308"),
+         "error: spectrum grid, chi and phase must be finite\n"),
+    ], ids=["servo-drift_step_std", "scan-cell_length"])
+    def test_overflow_outside_the_kernel(self, subcommand, text, message, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, message)
         assert not (tmp_path / "o").exists()
 
     def test_shot_noise_takes_any_sample_count(self, tmp_path, capsys):

@@ -247,3 +247,29 @@ class TestTimeSeries:
         ts = TimeSeries(dt=0.5, values=np.zeros(4), seed=0, kind="shot")
         assert np.array_equal(ts.time, [0.0, 0.5, 1.0, 1.5])
         assert ts.duration == 2.0
+
+
+class TestOverflowingShape:
+    """A shape that overflows fails, naming its component, with no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_powerlaw_coefficient(self):
+        with pytest.raises(InvariantViolation, match=r"^coefficient white_fm = 1e\+308 shapes non-finite"):
+            gen_powerlaw("white_fm", 1e308, 256, 1e-3, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_powerlaw_dt(self):
+        # 1 / dt is finite, but f**2 at the Nyquist frequency is not
+        with pytest.raises(InvariantViolation, match=r"coefficient white_pm = 1.0 .* at dt = 1e-200"):
+            gen_powerlaw("white_pm", 1.0, 256, 1e-200, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", list(SPECTRAL_SLOPES))
+    def test_composite_coefficient(self, kind):
+        budget = NoiseBudget(**{"white_fm": 1e-22} | {kind: 1e308})
+        with pytest.raises(InvariantViolation, match=f"^coefficient {kind} = 1e\\+308"):
+            gen_composite(budget, 256, 1e-3, 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_shape_is_finite(self):
+        assert np.all(np.isfinite(gen_powerlaw("white_fm", 1e300, 256, 1e-3, 1).values))

@@ -717,3 +717,28 @@ class TestRabiFrequencyRows:
         sys = replace(cold_system, mu12=1e300)
         with pytest.raises(DomainError, match="mu12 = 1e\\+300"):
             susceptibility_batch(sys, ATCAL_DRIVE, [0.0])
+
+
+class TestFloatingPointPolicy:
+    """inf and NaN propagate silently inside the kernel, and its checks raise the one error."""
+
+    WARM_DRIVE = FieldDrive(omega_p=TWO_PI * 6.7e6, omega_c=TWO_PI * 7.0e6, delta_c=TWO_PI * 1e6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_steady_state_of_an_infinite_liouvillian(self):
+        with pytest.raises(SingularSystemError, match="residual nan"):
+            steady_state(np.full((16, 16), np.inf))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("system", [{"lambda_probe": 5e-324}, {"temperature": 1e308}],
+                             ids=["lambda_probe", "temperature"])
+    def test_doppler_average_of_an_infinite_doppler_shift(self, system):
+        with pytest.raises(SingularSystemError, match="residual nan"):
+            doppler_average(LadderSystem(**system), self.WARM_DRIVE)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("system, drive", [({"n_atoms": 1e308}, {}), ({}, {"omega_p": 1e-300})],
+                             ids=["n_atoms", "omega_p"])
+    def test_susceptibility_that_overflows(self, system, drive):
+        with pytest.raises(NonConvergenceError, match="susceptibility is not finite at 3 of 3"):
+            susceptibility_batch(LadderSystem(**system), replace(self.WARM_DRIVE, **drive), np.zeros(3))
