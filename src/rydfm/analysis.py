@@ -145,8 +145,8 @@ def allan_deviation(ts: TimeSeries, taus) -> AllanResult:
     sigma = np.empty(taus.size)
     counts = np.empty(taus.size, dtype=int)
     for i, tau in enumerate(taus):
-        m_float = tau / ts.dt
-        m = int(round(m_float))
+        m_float = float(tau) / ts.dt
+        m = int(round(m_float)) if math.isfinite(m_float) else 0
         if m < 1 or abs(m_float - m) > 1e-9 * max(m, 1):
             raise InvariantViolation(f"tau = {tau} is not an integer multiple of dt = {ts.dt}")
         bins = n // m

@@ -51,7 +51,7 @@ def cs_vapor_density(temperature: float) -> float:
     pressure in torr is 10**(2.881 + 4.711 - 3999/T) respectively
     10**(2.881 + 4.165 - 3830/T).
     """
-    if temperature <= 0:
+    if not (temperature > 0):
         raise InvariantViolation("temperature must be positive for vapor density")
     if temperature < 301.6:
         log_p_torr = 2.881 + 4.711 - 3999.0 / temperature
@@ -273,10 +273,18 @@ def steady_state(liouvillian: np.ndarray) -> DensityMatrix:
     """Solve L rho = 0 (as R = U^H L U) with the trace constraint replacing one redundant row.
 
     Raises `SingularSystemError` if the system is degenerate (e.g. all rates
-    zero) or the residual of the normalized system exceeds 1e-10.
+    zero) or the residual of the normalized system exceeds 1e-10, and
+    `InvariantViolation` if L does not preserve Hermiticity: R then has an
+    imaginary part above 1e-12 max|L|, which the real solve would drop.
     """
+    lam = np.asarray(liouvillian, dtype=complex)
     with np.errstate(all="ignore"):
-        y = _trace_solve(_real(np.asarray(liouvillian, dtype=complex)))[:, 0]
+        y = _trace_solve(_real(lam))[:, 0]
+        # Re U^H (iL) U = -Im U^H L U, the part of R the real solve drops
+        drift = np.max(np.abs(_real(1j * lam))) / np.max(np.abs(lam))
+    if not (drift <= 1e-12):
+        raise InvariantViolation(f"Liouvillian does not preserve Hermiticity: max|Im U^H L U| is "
+                                 f"{drift:.3e} of max|L|, above 1e-12")
     return DensityMatrix((_U @ y).reshape(4, 4))
 
 

@@ -197,16 +197,16 @@ def at_splitting(spec: MediumSpectrum) -> AtResult:
 
 def field_from_splitting(split_hz: float, mu_rf: float) -> float:
     """RF field amplitude (V/m) from an AT splitting via E = h * split / mu."""
-    if mu_rf <= 0:
+    if not (mu_rf > 0):
         raise DomainError("mu_rf must be positive")
-    if split_hz < 0:
+    if not (split_hz >= 0):
         raise InvariantViolation("split_hz must be >= 0")
     return H_PLANCK * split_hz / mu_rf
 
 
 def splitting_from_field(e_field: float, mu_rf: float) -> float:
     """AT splitting (Hz) produced by an RF field, split = mu * E / h."""
-    if mu_rf <= 0:
+    if not (mu_rf > 0):
         raise DomainError("mu_rf must be positive")
     return mu_rf * e_field / H_PLANCK
 

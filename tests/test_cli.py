@@ -820,6 +820,59 @@ class TestBadFieldsThroughCli:
         report = (tmp_path / "o" / "sensitivity.txt").read_text()
         assert "projection_limit_v_per_m_sqrt_hz = 0.000000000000e+00" in report
 
+    def test_no_dephasing_on_the_warm_cell(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            rc, err = self.run("[system]\ngamma_deph = 0\n", ["sensitivity"], tmp_path, capsys)
+        assert (rc, err) == (EXIT_OK, "")
+        report = (tmp_path / "o" / "sensitivity.txt").read_text()
+        assert "projection_limit_v_per_m_sqrt_hz = 0.000000000000e+00" in report
+
+    @pytest.mark.parametrize("subcommand, config, section, key, value, code, start", [
+        ("scan", "default.cfg", "system", "mu12", "1e300", EXIT_NUMERIC,
+         "error: mu12 = 1e+300 C m is too large: its square overflows\n"),
+        ("sensitivity", "default.cfg", "scan", "e_operating", "1e300", EXIT_NUMERIC,
+         "error: susceptibility is not finite at "),
+        ("scan", "default.cfg", "fm", "n_max", "2", EXIT_CONFIG, "error: sideband truncation keeps "),
+        ("servo", "servo_demo.cfg", "ram", "e0_sq", "1e300", EXIT_NUMERIC,
+         "error: Allan deviation at tau = "),
+    ], ids=["warm-mu12", "warm-e_operating", "n_max", "servo_demo-e0_sq"])
+    def test_shipped_config_fails_in_one_line(self, subcommand, config, section, key, value, code,
+                                              start, tmp_path, capsys):
+        text = with_key((SHIPPED_CONFIGS / config).read_text(), section, key, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may precede the error line
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert rc == code
+        assert err.startswith(start) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("subcommand, text, code, start", [
+        ("fmscan", "[fm]\napply_ram = true\nbeta = 1.8411837813406593\n[ram]\ndphi_n = 0.3\n", EXIT_OK, ""),
+        ("atcal", "[scan]\ne_start = -0.9\n", EXIT_CONFIG, "error: [scan] e_start must be >= 0, got -0.9\n"),
+        ("scan", "[fm]\ndrive_dbm = 1e308\n", EXIT_CONFIG,
+         "error: [fm] drive_dbm = 1e+308: the drive power overflows\n"),
+        ("scan", "[fm]\ndrive_dbm = 3082\n", EXIT_CONFIG,
+         "error: [fm] drive_dbm = 3082.0: sideband truncation keeps "),
+        ("noise", "[noise]\nn_samples = 1000\n", EXIT_CONFIG,
+         "error: [noise] n_samples must be a power of two unless kind = shot, got 1000\n"),
+        ("noise", "[noise]\ndt = 1e308\n", EXIT_CONFIG, "error: [noise] dt = 1e+308: the last sample time "),
+        ("allan", "[noise]\nn_samples = 16\n", EXIT_CONFIG,
+         "error: classification needs at least 4 tau points\n"),
+    ], ids=["ram-at-bessel-slope-root", "e_start", "huge-drive_dbm", "truncating-drive_dbm",
+            "n_samples-not-power-of-two", "time-axis-overflowing-dt", "allan-too-short"])
+    def test_one_key_on_the_defaults_warns_nothing(self, subcommand, text, code, start, tmp_path,
+                                                   capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may reach stderr
+            rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert rc == code
+        if code == EXIT_OK:
+            assert err == "" and (tmp_path / "o" / f"manifest_{subcommand}.txt").exists()
+        else:
+            assert err.startswith(start) and err.count("\n") == 1
+            assert not (tmp_path / "o").exists()
+
     def test_overflowing_allan_deviation(self, tmp_path, capsys):
         text = COLD_BASE.replace("[ram]\n", "[ram]\ne0_sq = 1e300\n")
         with warnings.catch_warnings():

@@ -8,14 +8,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-from rydfm.analysis import DetectorModel, LorentzParams, SensitivityReport
-from rydfm.errors import InvariantViolation, TruncationError, require
+from rydfm.analysis import DetectorModel, LorentzParams, SensitivityReport, allan_deviation
+from rydfm.errors import DomainError, InvariantViolation, TruncationError, require
 from rydfm.fm import FmConfig, RamParams
-from rydfm.noise import NoiseBudget, TimeSeries
-from rydfm.quantum import FieldDrive, LadderSystem
+from rydfm.noise import NoiseBudget, TimeSeries, shot_noise_snr
+from rydfm.quantum import FieldDrive, LadderSystem, cs_vapor_density
 from rydfm.scenario import NoiseOpts, ScanOpts, ServoOpts
 from rydfm.servo import PidGains
-from rydfm.spectroscopy import AtResult
+from rydfm.spectroscopy import AtResult, field_from_splitting, splitting_from_field
 
 # every scalar domain type with valid constructor arguments
 DOMAIN_TYPES = {
@@ -105,3 +105,30 @@ class TestSignBounds:
         DetectorModel(**{name: 1.0})
         with pytest.raises(InvariantViolation, match=name):
             DetectorModel(**{name: 1.5})
+
+
+SERIES = TimeSeries(dt=1e-3, values=np.zeros(64), seed=1, kind="white_fm")
+
+
+class TestPublicChecksFailOnNan:
+    """Each argument check of a public function is written so that NaN fails it."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: cs_vapor_density(math.nan), InvariantViolation),
+        (lambda: field_from_splitting(1e6, math.nan), DomainError),
+        (lambda: field_from_splitting(math.nan, 1e-26), InvariantViolation),
+        (lambda: splitting_from_field(1.0, math.nan), DomainError),
+        (lambda: shot_noise_snr(math.nan, 1e-6, 852e-9, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, math.nan, 852e-9, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, 1e-6, math.nan, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, 1e-6, 852e-9, math.nan), InvariantViolation),
+        (lambda: allan_deviation(SERIES, [math.nan]), InvariantViolation),
+        (lambda: allan_deviation(SERIES, [math.inf]), InvariantViolation),
+        (lambda: allan_deviation(SERIES, [1e308]), InvariantViolation),
+    ], ids=["cs_vapor_density", "field_from_splitting-mu_rf", "field_from_splitting-split_hz",
+            "splitting_from_field-mu_rf", "shot_noise_snr-eta", "shot_noise_snr-power",
+            "shot_noise_snr-wavelength", "shot_noise_snr-bandwidth", "allan_deviation-nan",
+            "allan_deviation-inf", "allan_deviation-overflowing"])
+    def test_rejected(self, call, error):
+        with pytest.raises(error):
+            call()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 from scipy.special import wofz
 
@@ -185,6 +186,14 @@ class TestSteadyState:
         sys = LadderSystem(gamma2=0, gamma3=0, gamma4=0, gamma_deph=0, n_atoms=1e13)
         lam = build_liouvillian(build_hamiltonian(sys, FieldDrive(), 0.0), sys)
         with pytest.raises(SingularSystemError):
+            steady_state(lam)
+
+    def test_generator_that_breaks_hermiticity_rejected(self):
+        # the real solve sees only Re U^H L U: this L passes its residual check
+        sys = LadderSystem()
+        lam = build_liouvillian(build_hamiltonian(sys, FieldDrive(omega_p=1e7, omega_c=2e7)), sys)
+        lam[1, 1] += 1e6
+        with pytest.raises(InvariantViolation, match="does not preserve Hermiticity"):
             steady_state(lam)
 
     def test_random_draws_physical(self, cold_system):
@@ -608,6 +617,33 @@ class TestSusceptibility:
             )
             chi = susceptibility_batch(warm_system, drive, drive.delta_p)
             assert chi.imag >= -1e-12 * max(1.0, abs(chi))
+
+
+class TestPhysicality:
+    """Random drives, warm and cold: a passive medium and a physical steady state."""
+
+    COLD = LadderSystem(temperature=1e-9, n_atoms=1e13)
+    PROBE_GRID = TWO_PI * np.linspace(-50e6, 50e6, 5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        warm=st.booleans(),
+        omega_p=st.floats(1e5, 1e8),
+        omega_c=st.floats(0.0, 1e8),
+        omega_rf=st.floats(0.0, 1e8),
+        delta_p=st.floats(-1e8, 1e8),
+        delta_c=st.floats(-1e8, 1e8),
+        delta_rf=st.floats(-1e8, 1e8),
+    )
+    def test_random_drive(self, warm, omega_p, omega_c, omega_rf, delta_p, delta_c, delta_rf):
+        sys = LadderSystem() if warm else self.COLD
+        drive = FieldDrive(omega_p=omega_p, omega_c=omega_c, omega_rf=omega_rf,
+                           delta_p=delta_p, delta_c=delta_c, delta_rf=delta_rf)
+        chi = susceptibility_batch(sys, drive, np.r_[delta_p, self.PROBE_GRID])
+        assert np.all(np.isfinite(chi)) and np.all(chi.imag >= -1e-12 * np.maximum(1.0, np.abs(chi)))
+        rho = solve(sys, drive)  # DensityMatrix construction runs its physicality checks
+        cold = doppler_average(self.COLD, drive)
+        assert abs(rho.rho21 - cold) <= 1e-10 * abs(cold)
 
 
 class TestAtStructure:
