@@ -150,7 +150,7 @@ def shot_noise_snr(eta: float, power: float, wavelength: float, bandwidth: float
     shot-noise current variance for I = eta e P / (h nu)), so the
     dimensionless ratio above is what this function implements.
     """
-    if not (eta > 0 and power > 0 and wavelength > 0 and bandwidth > 0):
-        raise InvariantViolation("all shot-noise SNR inputs must be > 0")
+    if not all(0 < x < math.inf for x in (eta, power, wavelength, bandwidth)):
+        raise InvariantViolation("all shot-noise SNR inputs must be > 0 and finite")
     photon_energy = H_PLANCK * C_LIGHT / wavelength
     return float(np.sqrt(eta * power / (2 * photon_energy * bandwidth)))

@@ -1,6 +1,7 @@
 """Probe transmission spectra, AT-splitting extraction and field conversion."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,17 +198,19 @@ def at_splitting(spec: MediumSpectrum) -> AtResult:
 
 def field_from_splitting(split_hz: float, mu_rf: float) -> float:
     """RF field amplitude (V/m) from an AT splitting via E = h * split / mu."""
-    if not (mu_rf > 0):
-        raise DomainError("mu_rf must be positive")
-    if not (split_hz >= 0):
-        raise InvariantViolation("split_hz must be >= 0")
+    if not (0 < mu_rf < math.inf):
+        raise DomainError(f"mu_rf must be positive and finite, got {mu_rf!r}")
+    if not (0 <= split_hz < math.inf):
+        raise InvariantViolation(f"split_hz must be >= 0 and finite, got {split_hz!r}")
     return H_PLANCK * split_hz / mu_rf
 
 
 def splitting_from_field(e_field: float, mu_rf: float) -> float:
     """AT splitting (Hz) produced by an RF field, split = mu * E / h."""
-    if not (mu_rf > 0):
-        raise DomainError("mu_rf must be positive")
+    if not (0 < mu_rf < math.inf):
+        raise DomainError(f"mu_rf must be positive and finite, got {mu_rf!r}")
+    if not math.isfinite(e_field):
+        raise InvariantViolation(f"e_field must be finite, got {e_field!r}")
     return mu_rf * e_field / H_PLANCK
 
 

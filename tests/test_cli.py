@@ -1,15 +1,20 @@
+import ast
 import fnmatch
 import hashlib
 import inspect
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rydfm import cli, errors, quantum, scenario
@@ -388,6 +393,20 @@ class TestOutputs:
         main(["scan", "--config", str(cold_config), "--out", str(out)])
         manifest = (out / "manifest_scan.txt").read_text()
         assert "config_hash" in manifest and "spectrum.csv" in manifest
+
+    def test_manifest_names_scipy_only_when_loaded(self, cold_config, tmp_path):
+        # each run in a new interpreter, as this one has loaded scipy
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        versions = {}
+        for sub, cfg in (("scan", cold_config), ("servo", SHIPPED_CONFIGS / "servo_demo.cfg")):
+            subprocess.run([sys.executable, "-m", "rydfm.cli", sub, "--config", str(cfg),
+                            "--out", str(tmp_path)], env=env, check=True)
+            manifest = (tmp_path / f"manifest_{sub}.txt").read_text().splitlines()
+            line, = (line for line in manifest if line.startswith("versions = "))
+            versions[sub] = ast.literal_eval(line.removeprefix("versions = "))
+        assert list(versions["scan"]) == ["rydfm", "numpy", "python"]
+        assert list(versions["servo"]) == ["rydfm", "numpy", "scipy", "python"]
+        assert versions["servo"]["scipy"] == scipy.__version__
 
 
 class TestNoPartialOutput:

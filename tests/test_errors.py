@@ -125,10 +125,25 @@ class TestPublicChecksFailOnNan:
         (lambda: allan_deviation(SERIES, [math.nan]), InvariantViolation),
         (lambda: allan_deviation(SERIES, [math.inf]), InvariantViolation),
         (lambda: allan_deviation(SERIES, [1e308]), InvariantViolation),
+        (lambda: field_from_splitting(1e6, math.inf), DomainError),
+        (lambda: field_from_splitting(math.inf, 1e-26), InvariantViolation),
+        (lambda: splitting_from_field(1.0, math.inf), DomainError),
+        (lambda: splitting_from_field(math.nan, 1e-26), InvariantViolation),
+        (lambda: splitting_from_field(math.inf, 1e-26), InvariantViolation),
+        (lambda: splitting_from_field(-math.inf, 1e-26), InvariantViolation),
+        (lambda: shot_noise_snr(math.inf, 1e-6, 852e-9, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, math.inf, 852e-9, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, 1e-6, math.inf, 1.0), InvariantViolation),
+        (lambda: shot_noise_snr(0.8, 1e-6, 852e-9, math.inf), InvariantViolation),
     ], ids=["cs_vapor_density", "field_from_splitting-mu_rf", "field_from_splitting-split_hz",
             "splitting_from_field-mu_rf", "shot_noise_snr-eta", "shot_noise_snr-power",
             "shot_noise_snr-wavelength", "shot_noise_snr-bandwidth", "allan_deviation-nan",
-            "allan_deviation-inf", "allan_deviation-overflowing"])
+            "allan_deviation-inf", "allan_deviation-overflowing", "field_from_splitting-mu_rf-inf",
+            "field_from_splitting-split_hz-inf", "splitting_from_field-mu_rf-inf",
+            "splitting_from_field-e_field-nan", "splitting_from_field-e_field-inf",
+            "splitting_from_field-e_field-minus-inf", "shot_noise_snr-eta-inf",
+            "shot_noise_snr-power-inf", "shot_noise_snr-wavelength-inf",
+            "shot_noise_snr-bandwidth-inf"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()

@@ -14,8 +14,9 @@ HEAVY = ("scipy.signal", "scipy.optimize", "scipy.stats")
 # loaded only by the residual-AM amplitude (`servo`, or `fmscan` with
 # apply_ram off the RAM null), which keeps scipy's J_n: importing, loading a
 # scenario, `noise`, `allan`, the warm and FM paths, cold `atcal` and `fmscan`
-# with apply_ram at the null (the benchmark's doppler_free config) never need it
-DEFERRED = ("scipy.special",)
+# with apply_ram at the null (the benchmark's doppler_free config) never need
+# either
+DEFERRED = ("scipy", "scipy.special")
 WARM_FM = ("scan", "fmscan", "matched", "sensitivity")
 # cold runs: the shipped AT calibration and an fmscan with apply_ram = true at
 # dphi_n = dphi_dc = 0, read from the benchmark's scenarios
@@ -83,7 +84,7 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     assert list(stages)[-len(cold) - 1:] == [*cold, "rydfm servo"]
     assert list(stages)[-len(warm) - len(cold) - 3:-len(warm) - len(cold) - 1] == [
         "rydfm noise", "rydfm allan"]
-    # the RAM amplitude of `servo` is the one user of scipy.special
+    # the RAM amplitude of `servo` is the one user of scipy
     assert {stage: loaded for stage, loaded in stages.items() if loaded} == {
         "rydfm servo": list(DEFERRED)}
     assert set(report["exits"].values()) == {0}

@@ -521,29 +521,37 @@ class TestRealBasis:
         assert max_rel_diff(batch, oracle) <= 1e-12
 
 
-def weak_probe_average(sys, drive, delta_p):
-    """Maxwell average of the weak-probe ladder rho21 with the RF off.
+def weak_probe_average(sys, drive, delta_p, delta_rf=0.0, omega_rf=0.0):
+    """Maxwell average of the weak-probe ladder rho21, with the RF dressing |3>-|4>.
 
-    rho21(v) = (i Omega_p / 2) / (gamma21 - i d2 + (Omega_c^2 / 4) / (gamma31 - i d3))
-    with d2 = delta_p - k_p v and d3 = d2 + delta_c + k_c v, gamma21 = Gamma2 / 2
-    and gamma31 = Gamma3 / 2 + gamma_deph.  As N(v) / D(v) with D quadratic in
-    v it has two simple poles v_k; <1 / (v - v_k)> over a Gaussian of standard
-    deviation sigma is Z(zeta_k) / (sqrt(2) sigma), Z the plasma-dispersion
-    function, so the average is two Faddeeva terms (Gea-Banacloche et al.,
-    PRA 51, 576 (1995)).  No code is shared with the Woodbury/eig expansion.
+    rho21(v) = (i Omega_p / 2) (a3 a4 + Omega_rf^2 / 4)
+               / (a2 (a3 a4 + Omega_rf^2 / 4) + (Omega_c^2 / 4) a4)
+    with a2 = gamma21 - i d2, a3 = gamma31 - i d3, a4 = gamma41 - i d4,
+    d2 = delta_p - k_p v, d3 = d2 + delta_c + k_c v, d4 = d3 + delta_rf,
+    gamma21 = Gamma2 / 2, gamma31 = Gamma3 / 2 + gamma_deph and gamma41 =
+    Gamma4 / 2 + gamma_deph.  With the RF off it is (i Omega_p / 2) / (a2 +
+    (Omega_c^2 / 4) / a3).  As N(v) / D(v) with D cubic in v it has three
+    simple poles v_k; <1 / (v - v_k)> over a Gaussian of standard deviation
+    sigma is Z(zeta_k) / (sqrt(2) sigma), Z the plasma-dispersion function,
+    so the average is three Faddeeva terms (Gea-Banacloche et al., PRA 51,
+    576 (1995)).  No code is shared with the Woodbury/eig expansion.
     """
     kp, kc = sys.k_probe, sys.k_coupling
     gamma21 = sys.gamma2 / 2
     gamma31 = sys.gamma3 / 2 + sys.gamma_deph
+    gamma41 = sys.gamma4 / 2 + sys.gamma_deph
     out = []
     for dp in np.atleast_1d(delta_p):
-        # the two factors of D as a + b v, and N(v) = (i Omega_p / 2) (a3 + b3 v)
-        a2, b2 = gamma21 - 1j * dp, 1j * kp
-        a3, b3 = gamma31 - 1j * (dp + drive.delta_c), -1j * (kc - kp)
-        quad = np.array([b2 * b3, a2 * b3 + a3 * b2, a2 * a3 + drive.omega_c ** 2 / 4])
+        # each factor a_k as the polynomial b_k v + a_k(0) (np.poly* order)
+        a2 = np.array([1j * kp, gamma21 - 1j * dp])
+        a3 = np.array([-1j * (kc - kp), gamma31 - 1j * (dp + drive.delta_c)])
+        a4 = np.array([-1j * (kc - kp), gamma41 - 1j * (dp + drive.delta_c + delta_rf)])
+        dressed = np.polyadd(np.polymul(a3, a4), [omega_rf ** 2 / 4])
+        den = np.polyadd(np.polymul(a2, dressed), drive.omega_c ** 2 / 4 * a4)
+        slope = np.polyder(den)
         total = 0.0
-        for v_k in np.roots(quad):
-            residue = 0.5j * drive.omega_p * (a3 + b3 * v_k) / (2 * quad[0] * v_k + quad[1])
+        for v_k in np.roots(den):
+            residue = 0.5j * drive.omega_p * np.polyval(dressed, v_k) / np.polyval(slope, v_k)
             zeta = v_k / (math.sqrt(2) * sys.v_thermal)
             s = 1.0 if zeta.imag >= 0 else -1.0
             plasma = 1j * s * math.sqrt(math.pi) * wofz(s * zeta)
@@ -578,6 +586,29 @@ class TestWeakProbeOracle:
             errors.append(np.max(np.abs(full - oracle)) / np.max(np.abs(oracle)))
         ratios = [errors[0] / errors[1], errors[1] / errors[2]]
         assert all(80 < r < 125 for r in ratios), (errors, ratios)
+
+    def test_error_scales_as_probe_rabi_squared_with_the_rf_on(self, warm_system, default_drive):
+        # the same coupling, dressed by the RF at three Rabi frequencies and
+        # three RF detunings of both signs: each case's relative error falls
+        # 100x per decade of Omega_p, which a wrong sign of delta_rf, Doppler
+        # shift on |4> or rho41 damping in either model would stop.  |4>
+        # decays at its own rate, so Gamma4 cannot stand in for Gamma3.
+        sys = replace(warm_system, gamma4=TWO_PI * 0.5e6)
+        delta_p = TWO_PI * np.linspace(-30e6, 30e6, 13)
+        cases = [(TWO_PI * r, TWO_PI * w) for w in (4e6, 11e6, 40e6) for r in (-5e6, 0.0, 3e6)]
+        errors = []
+        for omega_p in TWO_PI * np.array([0.5e6, 0.05e6, 0.005e6]):
+            drive = replace(default_drive, omega_p=omega_p)
+            row = []
+            for delta_rf, omega_rf in cases:
+                full = quantum._mean_rho21(sys, drive, delta_p, delta_rf, omega_rf)
+                oracle = weak_probe_average(sys, drive, delta_p, delta_rf, omega_rf)
+                row.append(np.max(np.abs(full - oracle)) / np.max(np.abs(oracle)))
+            errors.append(row)
+        errors = np.array(errors)
+        ratios = errors[:-1] / errors[1:]
+        assert np.all((80 < ratios) & (ratios < 125)), (errors, ratios)
+        assert np.all(errors[-1] < 1e-5), errors
 
 
 class TestSusceptibility:
