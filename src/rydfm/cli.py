@@ -312,11 +312,7 @@ def run(subcommand: str, scn: Scenario, seed: int, outdir: Path) -> None:
             write_csv(outdir / name, header, *output)
         else:
             _atomic_write(outdir / name, _header_lines(header) + output)
-    versions = {"rydfm": __version__, "numpy": np.__version__}
-    scipy = sys.modules.get("scipy")  # loaded by the RAM amplitude's J_1, not imported here
-    if scipy is not None:
-        versions["scipy"] = scipy.__version__
-    versions["python"] = platform.python_version()
+    versions = {"rydfm": __version__, "numpy": np.__version__, "python": platform.python_version()}
     lines = [
         f"config_hash = {header['config_hash']}",
         f"seed = {seed}",

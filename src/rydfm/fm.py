@@ -112,6 +112,9 @@ class RamParams:
         for name in ("alpha", "beta_angle"):
             if not -math.pi / 2 < getattr(self, name) < math.pi / 2:
                 raise InvariantViolation(f"{name} must lie in (-pi/2, pi/2)")
+        if not abs(self.m_diff) <= _RECURRENCE_X:  # past it, _bessel_j gives NaN
+            raise InvariantViolation(f"m_diff must lie in [-{_RECURRENCE_X:g}, {_RECURRENCE_X:g}], "
+                                     f"got {self.m_diff!r}")
 
 
 @dataclass
@@ -207,20 +210,10 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
     return amplitude * np.sin(n * omega_m * np.asarray(t, dtype=float))
 
 
-def _ram_prefactor(p: RamParams) -> float:
-    """-e0_sq sin(2 alpha) sin(2 beta_angle), the J-free factor of the RAM amplitude."""
-    return -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle)
-
-
 def _ram_amplitude(p: RamParams, n: int) -> float:
     """-e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M), the RAM factor of sin(dphi_n + dphi_dc)."""
-    # scipy's jv, not _bessel_j: the servo bodies hold its J_1(0.1), one ulp
-    # above the correctly rounded value that _bessel_j gives; the only user of
-    # scipy.special, imported here so that no other path loads it (apply_ram
-    # skips this call at the RAM null, where the depth is 0 whatever J_n is)
-    from scipy.special import jv
-
-    return _ram_prefactor(p) * float(jv(n, p.m_diff))
+    j_n = float(_bessel_j(p.m_diff, n)[-1])
+    return -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle) * j_n
 
 
 def ram_mod_depth(p: RamParams) -> float:
@@ -234,15 +227,11 @@ def apply_ram(sb: SidebandSet, p: RamParams) -> SidebandSet:
     The intensity AM 1 + M sin(omega_m t) is, to first order in M, the field AM
     of index M / 2: order n becomes a_n + (M / 4i) (a_(n-1) - a_(n+1)), with
     a = 0 beyond +-n_max.  A transparent medium demodulates to -M sin(lo_phase)
-    at every beta.  At M = 0 the set is returned unchanged.  Where
-    sin(dphi_n + dphi_dc) or e0_sq sin(2 alpha) sin(2 beta_angle) is exactly
-    0.0 (the RAM null), M is 0 whatever J_1(m_diff) is, so J_1 is not
-    evaluated and scipy.special not loaded.
+    at every beta.  At M = 0 (the RAM null) the set is returned unchanged.
     """
     if sb.orders.max() < 1:
         raise InvariantViolation("apply_ram needs n_max >= 1")
-    null = math.sin(p.dphi_n + p.dphi_dc) == 0.0 or _ram_prefactor(p) == 0.0
-    depth = 0.0 if null else ram_mod_depth(p)
+    depth = ram_mod_depth(p)
     if depth == 0.0:
         return SidebandSet(orders=sb.orders.copy(), amps=sb.amps.copy(), omega_m=sb.omega_m)
     kick = depth / 4j

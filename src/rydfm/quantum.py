@@ -83,6 +83,16 @@ class LadderSystem:
     def __post_init__(self) -> None:
         require(self, positive=("lambda_probe", "lambda_coupling", "cell_length", "atom_mass"),
                 nonnegative=("gamma2", "gamma3", "gamma4", "gamma_deph", "n_atoms", "temperature"))
+        for keys, quantity, value in (
+            (("lambda_probe",), "k_probe = 2 pi / lambda_probe", self.k_probe),
+            (("lambda_coupling",), "k_coupling = 2 pi / lambda_coupling", self.k_coupling),
+            (("temperature", "atom_mass"), "the Doppler width max(k_probe, k_coupling) * v_thermal",
+             max(self.k_probe, self.k_coupling) * self.v_thermal),
+            (("cell_length",), "k_probe * cell_length", self.k_probe * self.cell_length),
+        ):
+            if not math.isfinite(value):  # NaN fails too
+                named = ", ".join(f"{key} = {getattr(self, key)!r}" for key in keys)
+                raise InvariantViolation(f"{named}: {quantity} overflows")
         if self.n_atoms is None:
             self.n_atoms = cs_vapor_density(self.temperature)
             if self.n_atoms == 0.0:

@@ -114,7 +114,6 @@ def run_servo(
     """
     if not (duration > 10 * gains.dt):
         raise InvariantViolation("duration must exceed 10 control periods")
-    # before the arrays exist: the first call imports scipy.special
     amp = _ram_amplitude(ram, 1)
     n = int(round(duration / gains.dt))
     t = np.arange(n) * gains.dt

@@ -209,8 +209,8 @@ def splitting_from_field(e_field: float, mu_rf: float) -> float:
     """AT splitting (Hz) produced by an RF field, split = mu * E / h."""
     if not (0 < mu_rf < math.inf):
         raise DomainError(f"mu_rf must be positive and finite, got {mu_rf!r}")
-    if not math.isfinite(e_field):
-        raise InvariantViolation(f"e_field must be finite, got {e_field!r}")
+    if not (0 <= e_field < math.inf):
+        raise InvariantViolation(f"e_field must be >= 0 and finite, got {e_field!r}")
     return mu_rf * e_field / H_PLANCK
 
 

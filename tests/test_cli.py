@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rydfm import cli, errors, quantum, scenario
@@ -320,24 +319,37 @@ class TestConfigPerturbations:
 
 
 class TestKernelSpecials:
-    """Inputs that make the kernel meet inf or NaN end in its one error line."""
+    """Inputs that would make the kernel meet inf or NaN end in one error line.
+
+    A [system] key that alone overflows a quantity the kernel reads (k_p, k_c,
+    the Doppler width or k_p L) fails at load and names itself; n_atoms and
+    omega_p overflow only together with other parts of the scenario, in the
+    kernel's own line.
+    """
 
     @pytest.mark.parametrize("subcommand", ["scan", "fmscan", "matched", "sensitivity"])
-    @pytest.mark.parametrize("section, key, value, start", [
-        ("system", "lambda_probe", "5e-324", "error: steady-state residual nan exceeds 1e-10"),
-        ("system", "temperature", "1e308", "error: steady-state residual nan exceeds 1e-10"),
-        ("system", "n_atoms", "1e308", "error: susceptibility is not finite at "),
-        ("drive", "omega_p", "1e-300", "error: susceptibility is not finite at "),
-    ], ids=["lambda_probe", "temperature", "n_atoms", "omega_p"])
-    def test_one_error_line(self, section, key, value, start, subcommand, tmp_path, capsys):
-        text = with_key((SHIPPED_CONFIGS / "default.cfg").read_text(), "scan", "step_hz", "5e6")
+    @pytest.mark.parametrize("config, section, key, value, rc, start", [
+        ("default.cfg", "system", "lambda_probe", "5e-324", EXIT_CONFIG,
+         "error: [system] lambda_probe = 5e-324: k_probe = 2 pi / lambda_probe overflows\n"),
+        ("default.cfg", "system", "lambda_coupling", "5e-324", EXIT_CONFIG,
+         "error: [system] lambda_coupling = 5e-324: k_coupling = 2 pi / lambda_coupling overflows\n"),
+        ("default.cfg", "system", "temperature", "1e308", EXIT_CONFIG,
+         "error: [system] temperature = 1e+308, atom_mass = 2.2069465e-25: the Doppler width "
+         "max(k_probe, k_coupling) * v_thermal overflows\n"),
+        ("at_calibration.cfg", "system", "cell_length", "1e308", EXIT_CONFIG,
+         "error: [system] cell_length = 1e+308: k_probe * cell_length overflows\n"),
+        ("default.cfg", "system", "n_atoms", "1e308", EXIT_NUMERIC, "error: susceptibility is not finite at "),
+        ("default.cfg", "drive", "omega_p", "1e-300", EXIT_NUMERIC, "error: susceptibility is not finite at "),
+    ], ids=["lambda_probe", "lambda_coupling", "temperature", "cell_length", "n_atoms", "omega_p"])
+    def test_one_error_line(self, config, section, key, value, rc, start, subcommand, tmp_path, capsys):
+        text = with_key((SHIPPED_CONFIGS / config).read_text(), "scan", "step_hz", "5e6")
         cfg = tmp_path / "special.cfg"
         cfg.write_text(with_key(text, section, key, value))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy warning may precede the error line
-            rc = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            got = main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
-        assert rc == EXIT_NUMERIC
+        assert got == rc
         assert err.startswith(start) and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
@@ -394,19 +406,17 @@ class TestOutputs:
         manifest = (out / "manifest_scan.txt").read_text()
         assert "config_hash" in manifest and "spectrum.csv" in manifest
 
-    def test_manifest_names_scipy_only_when_loaded(self, cold_config, tmp_path):
-        # each run in a new interpreter, as this one has loaded scipy
+    def test_manifest_versions_are_rydfm_numpy_python(self, cold_config, tmp_path):
+        # in a new interpreter, as this one has loaded scipy; no subcommand loads it
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        versions = {}
-        for sub, cfg in (("scan", cold_config), ("servo", SHIPPED_CONFIGS / "servo_demo.cfg")):
-            subprocess.run([sys.executable, "-m", "rydfm.cli", sub, "--config", str(cfg),
-                            "--out", str(tmp_path)], env=env, check=True)
+        runs = "; ".join(f"main([{sub!r}, '--config', {str(cold_config)!r}, '--out', {str(tmp_path)!r}])"
+                         for sub in cli.SUBCOMMANDS)
+        subprocess.run([sys.executable, "-c", f"from rydfm.cli import main; {runs}"], env=env, check=True)
+        for sub in cli.SUBCOMMANDS:
             manifest = (tmp_path / f"manifest_{sub}.txt").read_text().splitlines()
             line, = (line for line in manifest if line.startswith("versions = "))
-            versions[sub] = ast.literal_eval(line.removeprefix("versions = "))
-        assert list(versions["scan"]) == ["rydfm", "numpy", "python"]
-        assert list(versions["servo"]) == ["rydfm", "numpy", "scipy", "python"]
-        assert versions["servo"]["scipy"] == scipy.__version__
+            versions = ast.literal_eval(line.removeprefix("versions = "))
+            assert list(versions) == ["rydfm", "numpy", "python"], sub
 
 
 class TestNoPartialOutput:
@@ -739,6 +749,13 @@ class TestBadFieldsThroughCli:
         assert err.startswith(start) and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("subcommand", ["servo", "fmscan"])
+    def test_m_diff_past_the_bessel_bound(self, subcommand, tmp_path, capsys):
+        text = with_key(with_key(COLD_BASE, "fm", "apply_ram", "true"), "ram", "m_diff", "2000")
+        rc, err = self.run(text, [subcommand], tmp_path, capsys)
+        assert (rc, err) == (EXIT_CONFIG, "error: [ram] m_diff must lie in [-1000, 1000], got 2000.0\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand", ["noise", "allan"])
     def test_noise_samples_not_a_power_of_two(self, subcommand, tmp_path, capsys):
         text = COLD_BASE.replace("n_samples = 8192", "n_samples = 1000")
@@ -791,7 +808,7 @@ class TestBadFieldsThroughCli:
         ("servo", "[ram]\nduration_s = 1.0\ndrift_model = random_walk\ndrift_step_std = 1e308\n",
          "error: drift samples must be finite\n"),
         ("scan", COLD_BASE.replace("n_atoms = 1e13", "n_atoms = 1e13\ncell_length = 1e308"),
-         "error: spectrum grid, chi and phase must be finite\n"),
+         "error: [system] cell_length = 1e+308: k_probe * cell_length overflows\n"),
     ], ids=["servo-drift_step_std", "scan-cell_length"])
     def test_overflow_outside_the_kernel(self, subcommand, text, message, tmp_path, capsys):
         with warnings.catch_warnings():

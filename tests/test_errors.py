@@ -131,6 +131,7 @@ class TestPublicChecksFailOnNan:
         (lambda: splitting_from_field(math.nan, 1e-26), InvariantViolation),
         (lambda: splitting_from_field(math.inf, 1e-26), InvariantViolation),
         (lambda: splitting_from_field(-math.inf, 1e-26), InvariantViolation),
+        (lambda: splitting_from_field(-1.0, 1e-26), InvariantViolation),
         (lambda: shot_noise_snr(math.inf, 1e-6, 852e-9, 1.0), InvariantViolation),
         (lambda: shot_noise_snr(0.8, math.inf, 852e-9, 1.0), InvariantViolation),
         (lambda: shot_noise_snr(0.8, 1e-6, math.inf, 1.0), InvariantViolation),
@@ -141,7 +142,8 @@ class TestPublicChecksFailOnNan:
             "allan_deviation-inf", "allan_deviation-overflowing", "field_from_splitting-mu_rf-inf",
             "field_from_splitting-split_hz-inf", "splitting_from_field-mu_rf-inf",
             "splitting_from_field-e_field-nan", "splitting_from_field-e_field-inf",
-            "splitting_from_field-e_field-minus-inf", "shot_noise_snr-eta-inf",
+            "splitting_from_field-e_field-minus-inf", "splitting_from_field-e_field-negative",
+            "shot_noise_snr-eta-inf",
             "shot_noise_snr-power-inf", "shot_noise_snr-wavelength-inf",
             "shot_noise_snr-bandwidth-inf"])
     def test_rejected(self, call, error):

@@ -8,25 +8,22 @@ import rydfm
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# scipy submodules that take most of a second to import; the package never
-# needs them at import time
-HEAVY = ("scipy.signal", "scipy.optimize", "scipy.stats")
-# loaded only by the residual-AM amplitude (`servo`, or `fmscan` with
-# apply_ram off the RAM null), which keeps scipy's J_n: importing, loading a
-# scenario, `noise`, `allan`, the warm and FM paths, cold `atcal` and `fmscan`
-# with apply_ram at the null (the benchmark's doppler_free config) never need
-# either
-DEFERRED = ("scipy", "scipy.special")
+# scipy and the submodules that take most of a second to import: the package
+# needs none of them to import, load a scenario or run any subcommand (only
+# analysis.lorentzian_fit imports scipy.optimize)
+WATCHED = ("scipy", "scipy.special", "scipy.signal", "scipy.optimize", "scipy.stats")
 WARM_FM = ("scan", "fmscan", "matched", "sensitivity")
 # cold runs: the shipped AT calibration and an fmscan with apply_ram = true at
 # dphi_n = dphi_dc = 0, read from the benchmark's scenarios
 COLD = (("atcal", "configs/at_calibration.cfg"),
         ("fmscan", "perfbench/scenarios/full/doppler_free/fmscan.cfg"))
+# the same fmscan off the RAM null, where apply_ram evaluates J_1
+RAM_STAGE = "rydfm fmscan off the RAM null"
 
 PROBE = f"""
 import json, sys
 from pathlib import Path
-watched = {HEAVY + DEFERRED!r}
+watched = {WATCHED!r}
 root, out = Path(sys.argv[1]), sys.argv[2]
 stages, exits = {{}}, {{}}
 
@@ -54,6 +51,10 @@ for sub, path in runs:
     stage = f"rydfm {{sub}} {{path.relative_to(root).as_posix()}}"
     exits[stage] = rydfm.cli.main([sub, "--config", str(path), "--out", out])
     record(stage)
+ram_cfg = Path(out) / "fmscan_ram.cfg"
+ram_cfg.write_text((root / {COLD[1][1]!r}).read_text() + "\\n[ram]\\ndphi_n = 0.3\\n")
+exits[{RAM_STAGE!r}] = rydfm.cli.main(["fmscan", "--config", str(ram_cfg), "--out", out])
+record({RAM_STAGE!r})
 servo_cfg = root / "configs" / "servo_demo.cfg"
 exits["servo"] = rydfm.cli.main(["servo", "--config", str(servo_cfg), "--out", out])
 record("rydfm servo")
@@ -75,7 +76,7 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     loads = [s for s in stages if s.startswith("load_scenario ")]
     assert len(loads) == 3 + 8  # the shipped configs and perfbench/scenarios/full
     assert "load_scenario configs/default.cfg" in loads
-    cold = [f"rydfm {sub} {rel}" for sub, rel in COLD]
+    cold = [f"rydfm {sub} {rel}" for sub, rel in COLD] + [RAM_STAGE]
     warm = [s for s in stages if s.startswith(tuple(f"rydfm {sub} " for sub in WARM_FM))
             and s not in cold]
     assert len(warm) == 2 * 4  # on perfbench/scenarios/tiny/warm_cell and on default.cfg
@@ -84,9 +85,7 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     assert list(stages)[-len(cold) - 1:] == [*cold, "rydfm servo"]
     assert list(stages)[-len(warm) - len(cold) - 3:-len(warm) - len(cold) - 1] == [
         "rydfm noise", "rydfm allan"]
-    # the RAM amplitude of `servo` is the one user of scipy
-    assert {stage: loaded for stage, loaded in stages.items() if loaded} == {
-        "rydfm servo": list(DEFERRED)}
+    assert {stage: loaded for stage, loaded in stages.items() if loaded} == {}
     assert set(report["exits"].values()) == {0}
     assert len(report["exits"]) == 2 + len(warm) + len(cold) + 1
     names = {p.name for p in tmp_path.iterdir()}

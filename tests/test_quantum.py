@@ -800,8 +800,10 @@ class TestFloatingPointPolicy:
     @pytest.mark.parametrize("system", [{"lambda_probe": 5e-324}, {"temperature": 1e308}],
                              ids=["lambda_probe", "temperature"])
     def test_doppler_average_of_an_infinite_doppler_shift(self, system):
+        sys_ = LadderSystem()
+        vars(sys_).update(system)  # past the load check, which rejects both values
         with pytest.raises(SingularSystemError, match="residual nan"):
-            doppler_average(LadderSystem(**system), self.WARM_DRIVE)
+            doppler_average(sys_, self.WARM_DRIVE)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("system, drive", [({"n_atoms": 1e308}, {}), ({}, {"omega_p": 1e-300})],

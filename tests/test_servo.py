@@ -3,6 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from rydfm.analysis import allan_deviation, octave_taus
 from rydfm.errors import InvariantViolation, UnstableLoopError
@@ -46,6 +47,13 @@ def pid_step(state: PidState, error: float, gains: PidGains) -> tuple[PidState, 
 
 
 class TestDemodError:
+    def test_default_plant_gain_bitwise(self):
+        # the stored servo digests rest on this double: scipy's J_1(0.1) is one
+        # ulp above fm._bessel_j's, and either times the prefactor rounds to it
+        p = RamParams()
+        prefactor = -p.e0_sq * math.sin(2 * p.alpha) * math.sin(2 * p.beta_angle)
+        assert plant_gain(p) == abs(prefactor * float(jv(1, 0.1))) == 0.0004977128940221997
+
     def test_null(self):
         assert ram_mod_depth(replace(RAM, dphi_n=0.4, dphi_dc=-0.4)) == 0.0
 
