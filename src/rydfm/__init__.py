@@ -21,7 +21,6 @@ from .fm import (
     SidebandSet,
     apply_ram,
     demodulate,
-    index_from_dbm,
     propagate,
     ram_photocurrent,
     sidebands,
@@ -68,7 +67,7 @@ __all__ = [
     "lorentzian_fit", "matched_filter", "projection_limit",
     "sensitivity_estimate",
     "FmConfig", "RamParams", "SidebandSet", "apply_ram", "demodulate",
-    "index_from_dbm", "propagate", "ram_photocurrent", "sidebands",
+    "propagate", "ram_photocurrent", "sidebands",
     "NoiseBudget", "TimeSeries", "gen_composite", "gen_powerlaw",
     "shot_noise_series", "shot_noise_snr",
     "DensityMatrix", "FieldDrive", "LadderSystem", "build_hamiltonian",

@@ -268,6 +268,7 @@ def lorentzian_fit(freqs: np.ndarray, values: np.ndarray) -> tuple[LorentzParams
             bounds=([-np.inf, span * 1e-6, freqs[0] - span, -np.inf],
                     [np.inf, 10 * span, freqs[-1] + span, np.inf]),
             maxfev=20000,
+            xtol=1e-12, ftol=1e-12, gtol=1e-12,  # the 1e-8 defaults stop short of the minimum
         )
     except RuntimeError as exc:
         raise NonConvergenceError(f"Lorentzian fit did not converge: {exc}") from exc

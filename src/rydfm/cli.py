@@ -4,9 +4,8 @@ Usage: rydfm <subcommand> --config <path> [--seed N] [--out DIR]
 
 Subcommands: scan, fmscan, atcal, servo, noise, allan, matched,
 sensitivity.  Every output is CSV (or key-value text) with '#' header
-lines carrying the config hash and seed; numeric bodies are byte-identical
-across reruns of the same configuration.  The output directory resolves
-as --out, then $RYDFM_OUT, then the scenario [output] dir.
+lines carrying the config hash and seed, in the --out directory (default
+out); numeric bodies are byte-identical across reruns of one configuration.
 
 Each subcommand's runner `run_<name>(scn, seed)` only computes: it returns
 its header fields and its outputs by file name.  `run` writes them, then
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", default=None, help="scenario file (defaults when omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
@@ -353,8 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         scn = load_scenario(args.config)
         loaded = True
         seed = args.seed if args.seed is not None else scn.noise.seed
-        outdir = Path(args.out or os.environ.get("RYDFM_OUT") or scn.output.dir)
-        run(args.subcommand, scn, seed, outdir)
+        run(args.subcommand, scn, seed, Path(args.out))
     except (ParseError, InvariantViolation) as exc:
         code, message = EXIT_CONFIG, str(exc)
     except RydfmError as exc:  # every scenario that fails to load is a config error

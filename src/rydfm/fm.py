@@ -29,8 +29,6 @@ from .errors import (
 from .spectroscopy import MediumSpectrum
 
 BESSEL_CLOSURE_TOL = 1e-9
-V_PI = 3.5  # V, a placeholder half-wave voltage typical of waveguide modulators
-IMPEDANCE = 50.0  # ohm, the modulator's RF input
 
 
 # Work bound: below |beta| the recurrence takes O(|beta|) steps, and fewer
@@ -200,10 +198,10 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
 
     Returns -e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M) sin(n omega_m t)
     sin(dphi_n + dphi_dc).  Only odd positive n are physical; even n raise
-    EvenHarmonicError.
+    EvenHarmonicError; n past 2 * _RECURRENCE_X, where every J_n underflows, raises.
     """
-    if n <= 0:
-        raise InvariantViolation("harmonic order must be positive")
+    if not 0 < n <= 2 * _RECURRENCE_X:  # NaN fails
+        raise InvariantViolation(f"harmonic order must lie in [1, {2 * _RECURRENCE_X:g}], got {n!r}")
     if n % 2 == 0:
         raise EvenHarmonicError(f"residual-AM formula applies to odd harmonics, got n = {n}")
     amplitude = _ram_amplitude(p, n) * math.sin(p.dphi_n + p.dphi_dc)
@@ -239,14 +237,3 @@ def apply_ram(sb: SidebandSet, p: RamParams) -> SidebandSet:
     amps[..., 1:] += kick * sb.amps[..., :-1]
     amps[..., :-1] -= kick * sb.amps[..., 1:]
     return SidebandSet(orders=sb.orders.copy(), amps=amps, omega_m=sb.omega_m)
-
-
-def index_from_dbm(dbm: float) -> float:
-    """Modulation index from RF drive power using a linear volts-to-index map.
-
-    The drive voltage amplitude is sqrt(2 P Z) with P = 10**(dbm/10) mW,
-    Z = IMPEDANCE, and beta = pi V / V_PI; calibrate V_PI per device.
-    """
-    power_w = 1e-3 * 10 ** (dbm / 10)
-    volts = math.sqrt(2 * power_w * IMPEDANCE)
-    return math.pi * volts / V_PI

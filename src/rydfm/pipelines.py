@@ -56,13 +56,9 @@ def _propagated(
     sb = sidebands(cfg.beta, cfg.n_max, omega_m=cfg.omega_m)
     sb = sb if ram is None else apply_ram(sb, ram)
     idx = np.searchsorted(spec.grid, np.add.outer(carriers, sb.orders * cfg.omega_m))
-    # amps * t * exp(1j * phi) in that order, with two complex arrays alive, not four;
     # np.take, unlike [..., idx], keeps rows contiguous: demodulate's sums round by layout
-    rotation = 1j * np.take(spec.phase, idx, axis=-1)
-    np.exp(rotation, out=rotation)
-    amps = sb.amps * np.take(spec.amp_transmission, idx, axis=-1)
-    amps *= rotation
-    return SidebandSet(orders=sb.orders, amps=amps, omega_m=cfg.omega_m)
+    t, phi = np.take(spec.amp_transmission, idx, axis=-1), np.take(spec.phase, idx, axis=-1)
+    return SidebandSet(orders=sb.orders, amps=sb.amps * t * np.exp(1j * phi), omega_m=cfg.omega_m)
 
 
 def fm_response(

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import pipelines
 from .analysis import DetectorModel
-from .errors import InvariantViolation, ParseError, TruncationError, UnknownKeyError, require
-from .fm import FmConfig, RamParams, index_from_dbm
+from .errors import InvariantViolation, ParseError, UnknownKeyError, require
+from .fm import FmConfig, RamParams
 from .noise import NoiseBudget
 from .quantum import FieldDrive, LadderSystem
 from .servo import PidGains
@@ -149,11 +149,6 @@ class ScanOpts:
 
 
 @dataclass
-class OutputOpts:
-    dir: str = "out"
-
-
-@dataclass
 class Scenario:
     system: LadderSystem
     drive: FieldDrive
@@ -164,17 +159,16 @@ class Scenario:
     noise: NoiseOpts
     detector: DetectorModel
     scan: ScanOpts
-    output: OutputOpts
     apply_ram: bool = False
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     def canonical_text(self) -> str:
-        """Every input that affects the numbers; [output] is left out."""
+        """Every input that affects the numbers."""
         lines = []
         for name in _PARTS:
-            if name not in ("budget", "output"):  # the budget is a field of noise
+            if name != "budget":  # the budget is a field of noise
                 obj = getattr(self, name)
                 lines.append(f"[{name}]")
                 lines += (f"{f.name} = {getattr(obj, f.name)!r}"
@@ -197,12 +191,11 @@ _PARTS = {
     "noise": ("noise", NoiseOpts, {}),
     "detector": ("noise", DetectorModel, {"power_w": "detected_power_w"}),
     "scan": ("scan", ScanOpts, {}),
-    "output": ("output", OutputOpts, {}),
 }
 # Keys that set no dataclass field, by part; parse_scenario reads them itself.
 _EXTRA_KEYS = {
     "drive": {"e_rf": _parse_float},
-    "fm": {"apply_ram": _parse_bool, "drive_dbm": _parse_float},
+    "fm": {"apply_ram": _parse_bool},
 }
 _PARSERS = {"float": _parse_float, "float | None": _parse_float, "int": _parse_int,
             "str": _parse_str, "bool": _parse_bool}
@@ -296,23 +289,11 @@ def parse_scenario(text: str) -> Scenario:
     if points > MAX_GRID_POINTS:  # atcal solves every field at every detuning point
         raise InvariantViolation(f"[scan] {points} atcal operating points; the limit is {MAX_GRID_POINTS}")
 
-    fm_extra = {}
-    if ("fm", "drive_dbm") in values:
-        if ("fm", "beta") in values:
-            raise ParseError("[fm] beta and drive_dbm are mutually exclusive")
-        dbm = values[("fm", "drive_dbm")]
-        try:
-            fm_extra["beta"] = index_from_dbm(dbm)
-        except OverflowError as exc:
-            raise InvariantViolation(f"[fm] drive_dbm = {dbm!r}: the drive power overflows") from exc
     # an FM scan solves the medium at every detuning point + n * omega_m
     samples = scan_opts.detuning_points() * (2 * values.get(("fm", "n_max"), FmConfig.n_max) + 1)
     if samples > MAX_GRID_POINTS:
         raise InvariantViolation(f"[fm] {samples} FM medium points; the limit is {MAX_GRID_POINTS}")
-    try:
-        fm_cfg = build("fm", **fm_extra)
-    except TruncationError as exc:  # a beta from drive_dbm is named by the key the file set
-        raise TruncationError(f"[fm] drive_dbm = {dbm!r}: {exc}") if fm_extra else exc
+    fm_cfg = build("fm")
     # sidebands reach n_max * omega_m past the probe carrier or any scan carrier
     carrier = max(abs(drive.delta_p), _TWO_PI * abs(scan_opts.start_hz), _TWO_PI * abs(scan_opts.stop_hz))
     if not math.isfinite(fm_cfg.n_max * fm_cfg.omega_m + carrier):
@@ -331,7 +312,7 @@ def parse_scenario(text: str) -> Scenario:
     budget, detector = build("budget"), build("detector")
     return Scenario(system=system, drive=drive, fm=fm_cfg, ram=ram, gains=gains, servo=servo_opts,
                     noise=build("noise", budget=budget), detector=detector, scan=scan_opts,
-                    output=build("output"), apply_ram=values.get(("fm", "apply_ram"), False))
+                    apply_ram=values.get(("fm", "apply_ram"), False))
 
 
 def load_scenario(path: str | None) -> Scenario:

@@ -266,6 +266,24 @@ class TestLorentzianFit:
         assert amps[1] / amps[0] == pytest.approx(6.25, rel=0.05)
         assert amps[2] / amps[1] == pytest.approx(4.0, rel=0.05)
 
+    def test_stops_at_the_least_squares_minimum(self, warm_system, default_drive):
+        # criterion 8's line; a refit at 1e-15 tolerances from the returned
+        # point finds the minimum (at scipy's 1e-8 defaults the fit stopped
+        # with sigma 1.9% and the rms residual 7% above it)
+        from scipy.optimize import curve_fit
+
+        drive = drive_at_field(warm_system, default_drive, 5e-4)
+        freqs = np.linspace(-8e6, 10e6, 37)
+        line = rf_detuning_scan(warm_system, drive, FmConfig(n_max=5), TWO_PI * freqs, lo_phase=0.0)
+        params, residual = lorentzian_fit(freqs, line)
+        start = [params.amplitude, params.sigma, params.nu_c]
+        offset = float(np.mean(line - _lorentz_model(freqs, *start, 0.0)))  # best for that shape
+        best, _ = curve_fit(_lorentz_model, freqs, line, p0=start + [offset], maxfev=20000,
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        floor = float(np.sqrt(np.mean((_lorentz_model(freqs, *best) - line) ** 2)))
+        assert abs(residual - floor) <= 1e-4 * floor  # NaN fails
+        assert abs(params.sigma - best[1]) <= 1e-3 * best[1]
+
 
 class TestProjectionLimit:
     def test_hand_value(self):

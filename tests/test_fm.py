@@ -23,7 +23,6 @@ from rydfm.fm import (
     apply_ram,
     dc_power,
     demodulate,
-    index_from_dbm,
     propagate,
     ram_mod_depth,
     ram_photocurrent,
@@ -617,6 +616,14 @@ class TestRamPhotocurrent:
         with pytest.raises(InvariantViolation):
             ram_photocurrent(RamParams(), -1, OMEGA_M, 0.0)
 
+    @pytest.mark.parametrize("n", [2001, 10 ** 6 + 1, math.nan])
+    def test_order_past_the_underflow_bound_rejected(self, n, monkeypatch):
+        # past n = 2000 every J_n(m_diff) with |m_diff| <= 1000 underflows to 0;
+        # the order is rejected before any J_n is computed
+        monkeypatch.setattr(fm, "_bessel_j", None)
+        with pytest.raises(InvariantViolation, match="harmonic order"):
+            ram_photocurrent(RamParams(m_diff=1000.0, dphi_n=0.3), n, OMEGA_M, 0.0)
+
     def test_peak_amplitude_quarter_wave_angles(self):
         p = RamParams(alpha=math.pi / 4, beta_angle=math.pi / 4, m_diff=0.2,
                       dphi_n=math.pi / 2, dphi_dc=0.0, e0_sq=2.0)
@@ -656,7 +663,7 @@ class TestRamParams:
         with pytest.raises(InvariantViolation, match="m_diff"):
             RamParams(m_diff=m_diff)
 
-    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5, 1999])  # 1999: the last odd order below the cap
     def test_amplitude_formula_bitwise(self, n):
         # the written-out product, evaluated left to right, is the oracle
         rng = np.random.default_rng(n)
@@ -775,15 +782,6 @@ class TestApplyRam:
             for theta in np.linspace(-math.pi, math.pi, 9):
                 expected = -depth * math.sin(theta)
                 assert abs(demodulate(sb, theta) - expected) <= 1e-12 * abs(depth), (beta, theta)
-
-
-class TestIndexFromDbm:
-    def test_default_drive_level(self):
-        assert index_from_dbm(8.0) == pytest.approx(0.713, abs=0.01)
-
-    def test_monotone(self):
-        levels = [index_from_dbm(d) for d in (0.0, 4.0, 8.0, 14.0)]
-        assert np.all(np.diff(levels) > 0)
 
 
 class TestFmConfig:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -90,3 +91,13 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     assert len(report["exits"]) == 2 + len(warm) + len(cold) + 1
     names = {p.name for p in tmp_path.iterdir()}
     assert {f"manifest_{sub}.txt" for sub in ("noise", "allan", *WARM_FM, "atcal", "servo")} <= names
+
+
+def test_all_is_exactly_what_init_imports():
+    # a name dropped from __init__'s imports but left in __all__ fails here
+    tree = ast.parse(Path(rydfm.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(rydfm.__all__)) == len(rydfm.__all__)
+    assert set(rydfm.__all__) == imported | {"__version__"}
+    assert [name for name in rydfm.__all__ if not hasattr(rydfm, name)] == []

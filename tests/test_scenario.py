@@ -7,7 +7,6 @@ import pytest
 
 from rydfm import scenario
 from rydfm.errors import InvariantViolation, ParseError, UnknownKeyError
-from rydfm.fm import index_from_dbm
 from rydfm.scenario import (
     MAX_GRID_POINTS, MAX_NOISE_SAMPLES, ScanOpts, load_scenario, parse_scenario,
 )
@@ -34,11 +33,6 @@ class TestDefaults:
         b = parse_scenario("[drive]\nomega_p = 42.0\n")
         assert a.config_hash() == parse_scenario("").config_hash()
         assert a.config_hash() != b.config_hash()
-
-    def test_hash_ignores_output_dir(self):
-        a = parse_scenario("[output]\ndir = a\n")
-        b = parse_scenario("[output]\ndir = b\n")
-        assert a.config_hash() == b.config_hash() == parse_scenario("").config_hash()
 
 
 class TestErrors:
@@ -71,19 +65,11 @@ class TestErrors:
         with pytest.raises(ParseError, match="mutually exclusive"):
             parse_scenario("[drive]\nomega_rf = 1e6\ne_rf = 1e-3\n")
 
-    def test_exclusive_beta_keys(self):
-        with pytest.raises(ParseError, match="mutually exclusive"):
-            parse_scenario("[fm]\nbeta = 0.5\ndrive_dbm = 8\n")
-
 
 class TestDerivedValues:
     def test_e_rf_sets_rabi(self):
         scn = parse_scenario("[drive]\ne_rf = 0.4479\n")
         assert scn.drive.omega_rf == pytest.approx(TWO_PI * 10e6, rel=1e-3)
-
-    def test_drive_dbm_maps_to_beta(self):
-        scn = parse_scenario("[fm]\ndrive_dbm = 8.0\n")
-        assert scn.fm.beta == pytest.approx(index_from_dbm(8.0))
 
     def test_ram_block_feeds_three_objects(self):
         text = "[ram]\nalpha = 0.02\nkp = 10\nki = 5\ndrift_model = ramp\n"
@@ -161,10 +147,9 @@ KEY_TARGETS = [
     ("scan", "kernel_hwhm_hz", 2e6, "scan.kernel_hwhm_hz"),
     ("scan", "e_operating", 5e-3, "scan.e_operating"),
     ("scan", "line_noise_rms", 0.1, "scan.line_noise_rms"),
-    ("output", "dir", "results", "output.dir"),
 ]
 # set no field of their own; see TestDerivedValues
-DERIVED_KEYS = {("drive", "e_rf"), ("fm", "drive_dbm")}
+DERIVED_KEYS = {("drive", "e_rf")}
 
 
 class TestKeyTable:
@@ -194,7 +179,6 @@ class TestKeyTable:
             ("scan", "quantity"): scenario._parse_str,
             ("ram", "drift_model"): scenario._parse_str,
             ("noise", "kind"): scenario._parse_str,
-            ("output", "dir"): scenario._parse_str,
             ("fm", "apply_ram"): scenario._parse_bool,
         }
 

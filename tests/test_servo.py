@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from scipy.special import jv
 
 from rydfm.analysis import allan_deviation, octave_taus
 from rydfm.errors import InvariantViolation, UnstableLoopError
-from rydfm.fm import RamParams, apply_ram, demodulate, ram_mod_depth, sidebands
+from rydfm.fm import RamParams, _ram_amplitude, apply_ram, demodulate, ram_mod_depth, sidebands
 from rydfm.noise import TimeSeries
+from rydfm.scenario import load_scenario
 from rydfm.servo import (
     PidGains,
     constant_drift,
@@ -301,3 +303,40 @@ class TestZieglerNichols:
     def test_rejects_bad_gain(self):
         with pytest.raises(InvariantViolation):
             ziegler_nichols_gains(0.0, 1e-3)
+
+
+def closed_loop_impulse(a: float, b: float, n: int = 200) -> np.ndarray:
+    """Impulse response of z (z - 1) / (z^2 - (2 - a - b) z + (1 - a)).
+
+    The linearized lock: with x = dphi_n + dphi_dc, e = g x, a = -g kp and
+    b = -g ki, a drift step w_k enters x through this transfer function.
+    """
+    h, num = np.zeros(n), np.zeros(n)
+    num[:2] = 1.0, -1.0  # z (z - 1) / z^2 = 1 - 1/z
+    for k in range(n):  # h[-1] and h[-2] are still 0 at k = 0 and 1
+        h[k] = num[k] + (2 - a - b) * h[k - 1] - (1 - a) * h[k - 2]
+    return h
+
+
+class TestClosedLoopRandomWalk:
+    SETTLE = 1024  # steps dropped while the loop pulls in
+
+    def test_residual_variance_matches_the_linear_loop(self):
+        scn = load_scenario(str(Path(__file__).resolve().parents[1] / "configs" / "servo_demo.cfg"))
+        g = _ram_amplitude(scn.ram, 1)
+        a, b = -g * scn.gains.kp, -g * scn.gains.ki
+        assert a == pytest.approx(0.9, rel=1e-12) and b == pytest.approx(0.54, rel=1e-12)
+        h = closed_loop_impulse(a, b)
+        assert abs(h[-1]) < 1e-30  # poles at |z| = sqrt(1 - a) ~ 0.32
+        norm = float(np.sum(h ** 2))
+        assert norm == pytest.approx(1.33869, abs=1e-5)
+        sigma = scn.servo.drift_step_std
+        for seed in range(42, 47):
+            trace = run_servo(random_walk_drift(sigma, seed), scn.gains, scn.servo.duration_s,
+                              ram=scn.ram)
+            x = (trace.dphi_n + trace.dphi_dc)[self.SETTLE:]
+            ratio = float(np.var(x)) / (sigma ** 2 * norm)
+            assert abs(ratio - 1.0) <= 4 * math.sqrt(2 / x.size), (seed, ratio)  # NaN fails
+            # neither clamp acts, so the linear loop is the whole loop
+            assert np.max(np.abs(trace.dphi_dc)) < scn.gains.output_clamp, seed
+            assert np.max(np.abs(np.cumsum(trace.error))) < scn.gains.integrator_clamp, seed
