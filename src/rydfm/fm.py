@@ -197,10 +197,13 @@ def ram_photocurrent(p: RamParams, n: int, omega_m: float, t) -> np.ndarray | fl
     """Residual-AM photocurrent at the n-th odd harmonic of omega_m.
 
     Returns -e0_sq sin(2 alpha) sin(2 beta_angle) J_n(M) sin(n omega_m t)
-    sin(dphi_n + dphi_dc).  Only odd positive n are physical; even n raise
-    EvenHarmonicError; n past 2 * _RECURRENCE_X, where every J_n underflows, raises.
+    sin(dphi_n + dphi_dc).  Only odd positive integers n are physical (a bool is
+    not one); even n raise EvenHarmonicError, and n past 2 * _RECURRENCE_X, where
+    every J_n underflows, or of another type raises InvariantViolation.
     """
-    if not 0 < n <= 2 * _RECURRENCE_X:  # NaN fails
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):  # as FmConfig checks n_max
+        raise InvariantViolation(f"harmonic order must be an integer, got {n!r}")
+    if not 0 < n <= 2 * _RECURRENCE_X:
         raise InvariantViolation(f"harmonic order must lie in [1, {2 * _RECURRENCE_X:g}], got {n!r}")
     if n % 2 == 0:
         raise EvenHarmonicError(f"residual-AM formula applies to odd harmonics, got n = {n}")

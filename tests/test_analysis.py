@@ -11,7 +11,6 @@ from rydfm.analysis import (
     allan_deviation,
     classify_noise,
     lorentzian_fit,
-    _lorentz_model,
     lorentzian_kernel,
     matched_filter,
     octave_taus,
@@ -29,12 +28,17 @@ from rydfm.errors import (
 )
 from rydfm.fm import FmConfig
 from rydfm.noise import TimeSeries, gen_powerlaw
-from rydfm import pipelines
+from rydfm import analysis, pipelines
 from rydfm.pipelines import drive_at_field, rf_detuning_scan
 from rydfm.quantum import FieldDrive
 
 TWO_PI = 2 * math.pi
 MU_RF = 1745 * E_CHARGE * A0
+
+
+def lorentz_model(nu, amplitude, sigma, nu_c, offset):
+    """The model `lorentzian_fit` fits: a Lorentzian plus a constant offset."""
+    return LorentzParams(amplitude, sigma, nu_c).evaluate(nu) + offset
 
 
 def series(values, dt=1.0):
@@ -191,8 +195,8 @@ class TestMatchedFilter:
 
 
 class TestLorentzianBits:
-    """The kernel and the fit model evaluate `LorentzParams.evaluate`: the same bits
-    as the Lorentzian written out."""
+    """The kernel and the tests' fit model evaluate `LorentzParams.evaluate`: the same
+    bits as the Lorentzian written out."""
 
     # HWHM in steps, from the narrowest matched_filter accepts; above 16 steps the
     # +-8 HWHM support is truncated to max_len samples
@@ -213,7 +217,7 @@ class TestLorentzianBits:
             amplitude, sigma, nu_c, offset = (rng.normal() * 1e6, rng.uniform(1e4, 1e7),
                                               rng.uniform(-5e6, 5e6), rng.normal())
             written = amplitude * sigma / ((nu - nu_c) ** 2 + sigma ** 2) + offset
-            assert _lorentz_model(nu, amplitude, sigma, nu_c, offset).tobytes() == written.tobytes()
+            assert lorentz_model(nu, amplitude, sigma, nu_c, offset).tobytes() == written.tobytes()
 
 
 class TestLorentzianFit:
@@ -221,10 +225,11 @@ class TestLorentzianFit:
         freqs = np.linspace(-20e6, 20e6, 301)
         truth = LorentzParams(amplitude=3.0e6, sigma=2.75e6, nu_c=1.5e6)
         params, residual = lorentzian_fit(freqs, truth.evaluate(freqs))
-        assert params.amplitude == pytest.approx(truth.amplitude, rel=1e-6)
-        assert params.sigma == pytest.approx(truth.sigma, rel=1e-6)
-        assert params.nu_c == pytest.approx(truth.nu_c, abs=1.0)
-        assert residual < 1e-8 * abs(truth.amplitude) / truth.sigma
+        # the least-squares minimum is the truth, found but for rounding
+        assert params.amplitude == pytest.approx(truth.amplitude, rel=1e-12)
+        assert params.sigma == pytest.approx(truth.sigma, rel=1e-12)
+        assert params.nu_c == pytest.approx(truth.nu_c, abs=1e-12 * truth.sigma)
+        assert residual < 1e-12 * abs(truth.amplitude) / truth.sigma
 
     def test_fwhm_reported_as_twice_hwhm(self):
         params = LorentzParams(amplitude=1.0, sigma=2.75e6, nu_c=0.0)
@@ -245,6 +250,23 @@ class TestLorentzianFit:
     def test_too_few_points(self):
         with pytest.raises(InvariantViolation):
             lorentzian_fit(np.arange(5.0), np.ones(5))
+
+    def test_step_cap_raises_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_FIT_STEPS", 2)
+        freqs = np.linspace(-20e6, 20e6, 301)
+        line = LorentzParams(amplitude=3.0e6, sigma=2.75e6, nu_c=1.5e6).evaluate(freqs)
+        with pytest.raises(NonConvergenceError, match="in 2 steps"):
+            lorentzian_fit(freqs, line)
+
+    def test_single_spike_fits_at_the_width_bound(self):
+        # the narrower the line through one raised sample, the smaller the residual, so
+        # sigma stops at its lower bound, 1e-6 of the span, centered on that sample
+        freqs = np.linspace(-10.0, 10.0, 21)
+        params, residual = lorentzian_fit(freqs, np.eye(21)[3])
+        assert params.sigma == pytest.approx(1e-6 * 20.0, rel=1e-12)
+        assert params.nu_c == pytest.approx(freqs[3], abs=1e-3 * params.sigma)
+        # no sample is off by more than the line's tail one grid step from its center
+        assert residual < params.evaluate(freqs[3] + 1.0)
 
     def test_simulated_linewidth_stable_across_fields(self, warm_system, default_drive):
         # fitted width of the demodulated RF line must not move with the
@@ -267,22 +289,29 @@ class TestLorentzianFit:
         assert amps[2] / amps[1] == pytest.approx(4.0, rel=0.05)
 
     def test_stops_at_the_least_squares_minimum(self, warm_system, default_drive):
-        # criterion 8's line; a refit at 1e-15 tolerances from the returned
-        # point finds the minimum (at scipy's 1e-8 defaults the fit stopped
-        # with sigma 1.9% and the rms residual 7% above it)
-        from scipy.optimize import curve_fit
-
+        # criterion 8's line.  At the minimum the gradient of the cost in all four
+        # parameters vanishes, so a Gauss-Newton step of the full model (its Jacobian
+        # written out here) from the returned point is zero but for rounding.  A curve_fit
+        # refit is no oracle at this precision: with its finite-difference Jacobian it
+        # moves sigma by 8e-8 even when started at the minimum
         drive = drive_at_field(warm_system, default_drive, 5e-4)
         freqs = np.linspace(-8e6, 10e6, 37)
         line = rf_detuning_scan(warm_system, drive, FmConfig(n_max=5), TWO_PI * freqs, lo_phase=0.0)
         params, residual = lorentzian_fit(freqs, line)
-        start = [params.amplitude, params.sigma, params.nu_c]
-        offset = float(np.mean(line - _lorentz_model(freqs, *start, 0.0)))  # best for that shape
-        best, _ = curve_fit(_lorentz_model, freqs, line, p0=start + [offset], maxfev=20000,
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        floor = float(np.sqrt(np.mean((_lorentz_model(freqs, *best) - line) ** 2)))
-        assert abs(residual - floor) <= 1e-4 * floor  # NaN fails
-        assert abs(params.sigma - best[1]) <= 1e-3 * best[1]
+        a, sigma, nu_c = params.amplitude, params.sigma, params.nu_c
+        offset = float(np.mean(line - lorentz_model(freqs, a, sigma, nu_c, 0.0)))  # best for that shape
+        d = freqs - nu_c
+        q = d * d + sigma * sigma
+        jac = np.stack([sigma / q, a * (d * d - sigma * sigma) / q ** 2, 2 * a * sigma * d / q ** 2,
+                        np.ones_like(q)], axis=1)
+        step = np.linalg.lstsq(jac, line - lorentz_model(freqs, a, sigma, nu_c, offset), rcond=None)[0]
+        best = np.array([a, sigma, nu_c, offset]) + step
+        floor = float(np.sqrt(np.mean((lorentz_model(freqs, *best) - line) ** 2)))
+        assert abs(step[1]) <= 1e-8 * sigma  # NaN fails
+        # each residual cancels the line to within a few ulps of its samples
+        rounding = 8 * np.finfo(float).eps * float(np.sqrt(np.mean(line ** 2)))
+        assert abs(residual - floor) <= rounding
+        assert residual < 2.583442e-9  # where curve_fit at 1e-12 tolerances stops on this line
 
 
 class TestProjectionLimit:

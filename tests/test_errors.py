@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
-from rydfm.analysis import DetectorModel, LorentzParams, SensitivityReport, allan_deviation
+from rydfm.analysis import DetectorModel, LorentzParams, SensitivityReport, allan_deviation, lorentzian_fit
 from rydfm.errors import DomainError, InvariantViolation, TruncationError, require
 from rydfm.fm import FmConfig, RamParams
 from rydfm.noise import NoiseBudget, TimeSeries, shot_noise_snr
@@ -108,6 +108,15 @@ class TestSignBounds:
 
 
 SERIES = TimeSeries(dt=1e-3, values=np.zeros(64), seed=1, kind="white_fm")
+GRID = np.linspace(-1e6, 1e6, 12)
+LINE = LorentzParams(amplitude=1.0, sigma=2e5, nu_c=0.0).evaluate(GRID)
+
+
+def with_point(array, value, index=5):
+    """A copy of `array` with one entry replaced."""
+    out = array.copy()
+    out[index] = value
+    return out
 
 
 class TestPublicChecksFailOnNan:
@@ -136,6 +145,14 @@ class TestPublicChecksFailOnNan:
         (lambda: shot_noise_snr(0.8, math.inf, 852e-9, 1.0), InvariantViolation),
         (lambda: shot_noise_snr(0.8, 1e-6, math.inf, 1.0), InvariantViolation),
         (lambda: shot_noise_snr(0.8, 1e-6, 852e-9, math.inf), InvariantViolation),
+        (lambda: lorentzian_fit(GRID, LINE[:-1]), InvariantViolation),
+        (lambda: lorentzian_fit(with_point(GRID, math.nan), LINE), InvariantViolation),
+        (lambda: lorentzian_fit(with_point(GRID, math.inf), LINE), InvariantViolation),
+        (lambda: lorentzian_fit(GRID, with_point(LINE, math.nan)), InvariantViolation),
+        (lambda: lorentzian_fit(GRID, with_point(LINE, -math.inf)), InvariantViolation),
+        (lambda: lorentzian_fit(GRID[::-1], LINE), InvariantViolation),
+        (lambda: lorentzian_fit(with_point(GRID, GRID[4]), LINE), InvariantViolation),
+        (lambda: lorentzian_fit(np.stack([GRID, GRID]), np.stack([LINE, LINE])), InvariantViolation),
     ], ids=["cs_vapor_density", "field_from_splitting-mu_rf", "field_from_splitting-split_hz",
             "splitting_from_field-mu_rf", "shot_noise_snr-eta", "shot_noise_snr-power",
             "shot_noise_snr-wavelength", "shot_noise_snr-bandwidth", "allan_deviation-nan",
@@ -145,7 +162,10 @@ class TestPublicChecksFailOnNan:
             "splitting_from_field-e_field-minus-inf", "splitting_from_field-e_field-negative",
             "shot_noise_snr-eta-inf",
             "shot_noise_snr-power-inf", "shot_noise_snr-wavelength-inf",
-            "shot_noise_snr-bandwidth-inf"])
+            "shot_noise_snr-bandwidth-inf", "lorentzian_fit-unequal-lengths",
+            "lorentzian_fit-freqs-nan", "lorentzian_fit-freqs-inf", "lorentzian_fit-values-nan",
+            "lorentzian_fit-values-minus-inf", "lorentzian_fit-decreasing-freqs",
+            "lorentzian_fit-repeated-freq", "lorentzian_fit-2d"])
     def test_rejected(self, call, error):
         with pytest.raises(error):
             call()

@@ -616,6 +616,19 @@ class TestRamPhotocurrent:
         with pytest.raises(InvariantViolation):
             ram_photocurrent(RamParams(), -1, OMEGA_M, 0.0)
 
+    @pytest.mark.parametrize("n", [3.0, 1.5, np.float64(3.0), True], ids=["3.0", "1.5", "float64", "True"])
+    def test_non_integer_or_bool_order_rejected(self, n, monkeypatch):
+        # the rule FmConfig applies to n_max; checked before any J_n is computed
+        monkeypatch.setattr(fm, "_bessel_j", None)
+        with pytest.raises(InvariantViolation, match="harmonic order must be an integer"):
+            ram_photocurrent(RamParams(dphi_n=0.3), n, OMEGA_M, 0.0)
+
+    def test_numpy_integer_order_matches_int(self):
+        t = np.linspace(0, 1e-7, 32)
+        p = RamParams(dphi_n=0.3)
+        expected = ram_photocurrent(p, 3, OMEGA_M, t)
+        assert ram_photocurrent(p, np.int64(3), OMEGA_M, t).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [2001, 10 ** 6 + 1, math.nan])
     def test_order_past_the_underflow_bound_rejected(self, n, monkeypatch):
         # past n = 2000 every J_n(m_diff) with |m_diff| <= 1000 underflows to 0;

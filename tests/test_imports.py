@@ -10,8 +10,7 @@ import rydfm
 ROOT = Path(__file__).resolve().parents[1]
 
 # scipy and the submodules that take most of a second to import: the package
-# needs none of them to import, load a scenario or run any subcommand (only
-# analysis.lorentzian_fit imports scipy.optimize)
+# needs none of them to import, load a scenario, run any subcommand or fit a line
 WATCHED = ("scipy", "scipy.special", "scipy.signal", "scipy.optimize", "scipy.stats")
 WARM_FM = ("scan", "fmscan", "matched", "sensitivity")
 # cold runs: the shipped AT calibration and an fmscan with apply_ram = true at
@@ -20,6 +19,7 @@ COLD = (("atcal", "configs/at_calibration.cfg"),
         ("fmscan", "perfbench/scenarios/full/doppler_free/fmscan.cfg"))
 # the same fmscan off the RAM null, where apply_ram evaluates J_1
 RAM_STAGE = "rydfm fmscan off the RAM null"
+FIT_STAGE = "rydfm.lorentzian_fit"
 
 PROBE = f"""
 import json, sys
@@ -59,6 +59,10 @@ record({RAM_STAGE!r})
 servo_cfg = root / "configs" / "servo_demo.cfg"
 exits["servo"] = rydfm.cli.main(["servo", "--config", str(servo_cfg), "--out", out])
 record("rydfm servo")
+import numpy as np
+freqs = np.linspace(-1e6, 1e6, 21)
+rydfm.lorentzian_fit(freqs, rydfm.LorentzParams(1.0, 2e5, 1e5).evaluate(freqs))
+record({FIT_STAGE!r})
 print(json.dumps({{"stages": stages, "exits": exits}}))
 """
 
@@ -83,8 +87,8 @@ def test_import_loads_no_heavy_scipy_module(tmp_path):
     assert len(warm) == 2 * 4  # on perfbench/scenarios/tiny/warm_cell and on default.cfg
     assert {"rydfm matched perfbench/scenarios/tiny/warm_cell/matched.cfg",
             "rydfm sensitivity configs/default.cfg"} <= set(warm)
-    assert list(stages)[-len(cold) - 1:] == [*cold, "rydfm servo"]
-    assert list(stages)[-len(warm) - len(cold) - 3:-len(warm) - len(cold) - 1] == [
+    assert list(stages)[-len(cold) - 2:] == [*cold, "rydfm servo", FIT_STAGE]
+    assert list(stages)[-len(warm) - len(cold) - 4:-len(warm) - len(cold) - 2] == [
         "rydfm noise", "rydfm allan"]
     assert {stage: loaded for stage, loaded in stages.items() if loaded} == {}
     assert set(report["exits"].values()) == {0}

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -318,14 +319,28 @@ def closed_loop_impulse(a: float, b: float, n: int = 200) -> np.ndarray:
     return h
 
 
-class TestClosedLoopRandomWalk:
+class TestClosedLoopSensitivity:
+    """`servo_demo`'s lock against the linear loop's sensitivity function
+    S(z) = (z - 1)^2 / (z^2 - (2 - a - b) z + (1 - a)), for both drift models."""
+
     SETTLE = 1024  # steps dropped while the loop pulls in
 
-    def test_residual_variance_matches_the_linear_loop(self):
+    @staticmethod
+    def demo():
         scn = load_scenario(str(Path(__file__).resolve().parents[1] / "configs" / "servo_demo.cfg"))
         g = _ram_amplitude(scn.ram, 1)
         a, b = -g * scn.gains.kp, -g * scn.gains.ki
         assert a == pytest.approx(0.9, rel=1e-12) and b == pytest.approx(0.54, rel=1e-12)
+        return scn, a, b
+
+    @staticmethod
+    def assert_no_clamp_acts(trace, gains, label):
+        # neither clamp acts, so the linear loop is the whole loop
+        assert np.max(np.abs(trace.dphi_dc)) < gains.output_clamp, label
+        assert np.max(np.abs(np.cumsum(trace.error))) < gains.integrator_clamp, label
+
+    def test_residual_variance_matches_the_linear_loop(self):
+        scn, a, b = self.demo()
         h = closed_loop_impulse(a, b)
         assert abs(h[-1]) < 1e-30  # poles at |z| = sqrt(1 - a) ~ 0.32
         norm = float(np.sum(h ** 2))
@@ -337,6 +352,29 @@ class TestClosedLoopRandomWalk:
             x = (trace.dphi_n + trace.dphi_dc)[self.SETTLE:]
             ratio = float(np.var(x)) / (sigma ** 2 * norm)
             assert abs(ratio - 1.0) <= 4 * math.sqrt(2 / x.size), (seed, ratio)  # NaN fails
-            # neither clamp acts, so the linear loop is the whole loop
-            assert np.max(np.abs(trace.dphi_dc)) < scn.gains.output_clamp, seed
-            assert np.max(np.abs(np.cumsum(trace.error))) < scn.gains.integrator_clamp, seed
+            self.assert_no_clamp_acts(trace, scn.gains, seed)
+
+    @pytest.mark.parametrize("freq_hz, s_abs", [(1.0, 7.3e-5), (10.0, 7.3e-3), (50.0, 0.175),
+                                                (150.0, 1.124)])
+    def test_sinusoidal_drift_is_scaled_by_the_sensitivity(self, freq_hz, s_abs):
+        scn, a, b = self.demo()
+        amplitude, dt = 1e-3, scn.gains.dt
+        z = cmath.exp(2j * math.pi * freq_hz * dt)
+        s = (z - 1) ** 2 / (z * z - (2 - a - b) * z + (1 - a))
+        assert abs(s) == pytest.approx(s_abs, rel=5e-3)
+        trace = run_servo(sinusoid_drift(amplitude, freq_hz), scn.gains, 8.192, ram=scn.ram)
+        self.assert_no_clamp_acts(trace, scn.gains, freq_hz)
+        # the poles' transient, |z| ~ 0.32 per step, is below rounding long before the last half
+        half = slice(trace.time.size // 2, None)
+        x = (trace.dphi_n + trace.dphi_dc)[half]
+        phase = 2 * math.pi * freq_hz * trace.time[half]
+        # x = Im(X exp(i w t)) with X = S * amplitude in the linear loop; sin and cos at the
+        # drive frequency fitted together leak nothing of the drive into each other
+        (c_sin, c_cos), *_ = np.linalg.lstsq(np.stack([np.sin(phase), np.cos(phase)], axis=1), x,
+                                             rcond=None)
+        fitted = complex(c_sin, c_cos) / amplitude
+        # what is left: the plant's sin x, whose first harmonic is X (1 - X^2 / 8 + ...), bounded
+        # with a factor 4 to spare, and the rounding of x = dphi_n + dphi_dc, a few ulps of the drift
+        size = abs(s) * amplitude
+        bound = size ** 2 / 2 + 16 * np.finfo(float).eps * amplitude / size
+        assert abs(fitted - s) <= bound * abs(s), (fitted, s)  # NaN fails
